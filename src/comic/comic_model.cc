@@ -18,11 +18,13 @@ ComIcOutcome ComIcSimulator::Run(const std::vector<NodeId>& seeds_a,
   ++epoch_;
   ComIcOutcome outcome;
   frontier_.clear();
+  touched_.clear();
 
   auto touch = [&](NodeId v) {
     if (node_epoch_[v] != epoch_) {
       node_epoch_[v] = epoch_;
       state_[v] = 0;
+      touched_.push_back(v);
     }
   };
 
@@ -92,8 +94,9 @@ ComIcOutcome ComIcSimulator::Run(const std::vector<NodeId>& seeds_a,
     frontier_.swap(next_);
   }
 
-  for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-    if (node_epoch_[v] != epoch_) continue;
+  // Tally over the reached nodes only, so a small cascade costs O(touched),
+  // not O(n).
+  for (NodeId v : touched_) {
     if (state_[v] & kAAdopted) ++outcome.adopted_a;
     if (state_[v] & kBAdopted) {
       ++outcome.adopted_b;

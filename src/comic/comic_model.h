@@ -57,6 +57,7 @@ class ComIcSimulator {
   std::vector<uint8_t> edge_live_;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_;
+  std::vector<NodeId> touched_;  ///< nodes reached this diffusion
 };
 
 }  // namespace uic

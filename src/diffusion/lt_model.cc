@@ -1,7 +1,5 @@
 #include "diffusion/lt_model.h"
 
-#include <cmath>
-
 #include "common/check.h"
 #include "common/parallel.h"
 
@@ -155,55 +153,6 @@ UicOutcome UicLtSimulator::Run(const Allocation& allocation,
     outcome.num_adoptions += Cardinality(a);
   }
   return outcome;
-}
-
-WelfareEstimate EstimateWelfareLt(const Graph& graph,
-                                  const Allocation& allocation,
-                                  const ItemParams& params,
-                                  size_t num_simulations, uint64_t seed,
-                                  unsigned workers) {
-  WelfareEstimate estimate;
-  if (num_simulations == 0) return estimate;
-  struct Accum {
-    double sum = 0.0, sum_sq = 0.0, adopters = 0.0, adoptions = 0.0;
-  };
-  std::vector<Accum> per_stream(kRngStreams);
-  ParallelForStreams(num_simulations, workers,
-                     [&](unsigned s, size_t begin, size_t end) {
-                       UicLtSimulator sim(graph);
-                       Rng rng = Rng::Split(seed, s);
-                       Accum acc;
-                       // Per-simulation noise buffer and table reused
-                       // (same RNG sequence and values as fresh builds).
-                       std::vector<double> noise;
-                       UtilityTable table(params);
-                       for (size_t i = begin; i < end; ++i) {
-                         params.noise().Sample(rng, &noise);
-                         table.Rebuild(params, noise);
-                         const UicOutcome out = sim.Run(allocation, table, rng);
-                         acc.sum += out.welfare;
-                         acc.sum_sq += out.welfare * out.welfare;
-                         acc.adopters += static_cast<double>(out.num_adopters);
-                         acc.adoptions +=
-                             static_cast<double>(out.num_adoptions);
-                       }
-                       per_stream[s] = acc;
-                     });
-  Accum total;
-  for (const Accum& a : per_stream) {
-    total.sum += a.sum;
-    total.sum_sq += a.sum_sq;
-    total.adopters += a.adopters;
-    total.adoptions += a.adoptions;
-  }
-  const double n = static_cast<double>(num_simulations);
-  estimate.welfare = total.sum / n;
-  const double var =
-      n > 1 ? (total.sum_sq - total.sum * total.sum / n) / (n - 1) : 0.0;
-  estimate.std_error = var > 0 ? std::sqrt(var / n) : 0.0;
-  estimate.avg_adopters = total.adopters / n;
-  estimate.avg_adoptions = total.adoptions / n;
-  return estimate;
 }
 
 }  // namespace uic

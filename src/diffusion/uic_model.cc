@@ -1,20 +1,24 @@
 #include "diffusion/uic_model.h"
 
-#include <atomic>
-#include <mutex>
+#include <cmath>
+#include <span>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "diffusion/lt_model.h"
 
 namespace uic {
 
+namespace {
+
+/// Frontier positions ahead of the current node whose out-adjacency is
+/// prefetched.
+constexpr size_t kPrefetchDistance = 4;
+
+}  // namespace
+
 UicSimulator::UicSimulator(const Graph& graph)
-    : graph_(graph),
-      node_epoch_(graph.num_nodes(), 0),
-      desire_(graph.num_nodes(), 0),
-      adoption_(graph.num_nodes(), 0),
-      edge_epoch_(graph.num_edges(), 0),
-      edge_live_(graph.num_edges(), 0) {}
+    : graph_(graph), state_(graph.num_nodes()) {}
 
 UicOutcome UicSimulator::Run(const Allocation& allocation,
                              const UtilityTable& utilities, Rng& rng) {
@@ -27,49 +31,63 @@ UicOutcome UicSimulator::RunDetailed(
   ++epoch_;
   frontier_.clear();
   touched_.clear();
+  live_.clear();
   UicOutcome outcome;
 
   // t = 1: seeds desire their allocated items and adopt the best subset.
   for (const auto& [v, items] : allocation.entries()) {
     UIC_DCHECK(v < graph_.num_nodes());
     Touch(v);
-    desire_[v] |= items;
+    state_[v].desire |= items;
     touched_.push_back(v);
   }
   for (const auto& [v, items] : allocation.entries()) {
-    const ItemSet best = utilities.BestAdoption(adoption_[v], desire_[v]);
-    if (best != adoption_[v]) {
-      adoption_[v] = best;
+    NodeState& s = state_[v];
+    const ItemSet best = utilities.BestAdoption(s.adoption, s.desire);
+    if (best != s.adoption) {
+      s.adoption = best;
       frontier_.push_back(v);
     }
   }
 
-  // t > 1: adopters test out-edges; receivers re-optimize their adoption.
+  // t > 1: adopters send their adoption over live out-edges; receivers
+  // re-optimize their adoption.
   while (!frontier_.empty()) {
     next_.clear();
-    for (NodeId u : frontier_) {
-      const ItemSet send = adoption_[u];
-      auto nbrs = graph_.OutNeighbors(u);
-      auto probs = graph_.OutProbs(u);
-      for (size_t k = 0; k < nbrs.size(); ++k) {
-        const size_t e = graph_.OutEdgeIndex(u, static_cast<uint32_t>(k));
-        // Each edge is tested at most once per diffusion; its live/blocked
-        // status is remembered (Fig. 1 step 1).
-        if (edge_epoch_[e] != epoch_) {
-          edge_epoch_[e] = epoch_;
-          edge_live_[e] = rng.NextBernoulli(probs[k]) ? 1 : 0;
+    for (size_t i = 0; i < frontier_.size(); ++i) {
+      if (i + kPrefetchDistance < frontier_.size()) {
+        const NodeId ahead = frontier_[i + kPrefetchDistance];
+        __builtin_prefetch(graph_.OutNeighbors(ahead).data());
+        __builtin_prefetch(graph_.OutProbs(ahead).data());
+      }
+      const NodeId u = frontier_[i];
+      NodeState& su = state_[u];
+      const ItemSet send = su.adoption;
+      if (su.live == kUnpropagated) {
+        // First propagation: test every out-edge once, in adjacency order
+        // (Fig. 1 step 1), and remember the live ones for the rest of the
+        // diffusion.
+        UIC_DCHECK(live_.size() < kUnpropagated);
+        su.live = static_cast<uint32_t>(live_.size());
+        live_.push_back(0);
+        auto nbrs = graph_.OutNeighbors(u);
+        auto probs = graph_.OutProbs(u);
+        for (size_t k = 0; k < nbrs.size(); ++k) {
+          if (!rng.NextBernoulli(probs[k])) continue;
+          __builtin_prefetch(&state_[nbrs[k]]);
+          live_.push_back(nbrs[k]);
         }
-        if (!edge_live_[e]) continue;
-        const NodeId v = nbrs[k];
-        if (node_epoch_[v] != epoch_) {
-          Touch(v);
-          touched_.push_back(v);
-        }
-        if (IsSubset(send, desire_[v])) continue;  // nothing new to desire
-        desire_[v] |= send;
-        const ItemSet best = utilities.BestAdoption(adoption_[v], desire_[v]);
-        if (best != adoption_[v]) {
-          adoption_[v] = best;
+        live_[su.live] = static_cast<NodeId>(live_.size() - su.live - 1);
+      }
+      const NodeId* live = live_.data() + su.live;
+      for (const NodeId v : std::span(live + 1, live[0])) {
+        NodeState& sv = state_[v];
+        if (Touch(v)) touched_.push_back(v);
+        if (IsSubset(send, sv.desire)) continue;  // nothing new to desire
+        sv.desire |= send;
+        const ItemSet best = utilities.BestAdoption(sv.adoption, sv.desire);
+        if (best != sv.adoption) {
+          sv.adoption = best;
           // Re-activate v so it (re-)propagates its enlarged adoption set.
           next_.push_back(v);
         }
@@ -80,7 +98,7 @@ UicOutcome UicSimulator::RunDetailed(
 
   if (adoptions) adoptions->clear();
   for (NodeId v : touched_) {
-    const ItemSet a = adoption_[v];
+    const ItemSet a = state_[v].adoption;
     if (a == kEmptyItemSet) continue;
     outcome.welfare += utilities.Utility(a);
     outcome.num_adopters += 1;
@@ -90,11 +108,17 @@ UicOutcome UicSimulator::RunDetailed(
   return outcome;
 }
 
-WelfareEstimate EstimateWelfare(const Graph& graph,
-                                const Allocation& allocation,
-                                const ItemParams& params,
-                                size_t num_simulations, uint64_t seed,
-                                unsigned workers) {
+namespace {
+
+/// The Monte-Carlo welfare driver behind `EstimateWelfare` and
+/// `EstimateWelfareLt`: one `Simulator` per stream, a fresh noise world
+/// and edge world per simulation.
+template <typename Simulator>
+WelfareEstimate EstimateWelfareWith(const Graph& graph,
+                                    const Allocation& allocation,
+                                    const ItemParams& params,
+                                    size_t num_simulations, uint64_t seed,
+                                    unsigned workers) {
   WelfareEstimate estimate;
   if (num_simulations == 0) return estimate;
 
@@ -110,7 +134,7 @@ WelfareEstimate EstimateWelfare(const Graph& graph,
 
   ParallelForStreams(num_simulations, workers,
                      [&](unsigned s, size_t begin, size_t end) {
-                       UicSimulator sim(graph);
+                       Simulator sim(graph);
                        Rng rng = Rng::Split(seed, s);
                        Accum acc;
                        // Noise buffer and table hoisted out of the loop:
@@ -147,6 +171,26 @@ WelfareEstimate EstimateWelfare(const Graph& graph,
   estimate.avg_adopters = total.adopters / n;
   estimate.avg_adoptions = total.adoptions / n;
   return estimate;
+}
+
+}  // namespace
+
+WelfareEstimate EstimateWelfare(const Graph& graph,
+                                const Allocation& allocation,
+                                const ItemParams& params,
+                                size_t num_simulations, uint64_t seed,
+                                unsigned workers) {
+  return EstimateWelfareWith<UicSimulator>(graph, allocation, params,
+                                           num_simulations, seed, workers);
+}
+
+WelfareEstimate EstimateWelfareLt(const Graph& graph,
+                                  const Allocation& allocation,
+                                  const ItemParams& params,
+                                  size_t num_simulations, uint64_t seed,
+                                  unsigned workers) {
+  return EstimateWelfareWith<UicLtSimulator>(graph, allocation, params,
+                                             num_simulations, seed, workers);
 }
 
 }  // namespace uic

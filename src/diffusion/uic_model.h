@@ -34,8 +34,14 @@ struct UicOutcome {
 
 /// \brief Reusable UIC forward simulator.
 ///
-/// Buffers (desire/adoption/edge status) are epoch-stamped so repeated runs
-/// on the same graph cost O(touched state), not O(n + m), per run.
+/// Per-node state is one epoch-stamped record, so repeated runs on the same
+/// graph cost O(touched state), not O(n + m), per run. Edge outcomes are
+/// kept per diffusion in a list of live targets rather than per edge: an
+/// out-edge is only ever tested from its source, and a node's first
+/// propagation tests all of its out-edges in adjacency order, so the list
+/// records them then and every later propagation of the node replays its
+/// slice. The RNG draws are exactly one Bernoulli trial per tested edge, in
+/// the order the diffusion first reaches it.
 class UicSimulator {
  public:
   explicit UicSimulator(const Graph& graph);
@@ -52,27 +58,33 @@ class UicSimulator {
                          std::vector<std::pair<NodeId, ItemSet>>* adoptions);
 
  private:
-  ItemSet DesireOf(NodeId v) const {
-    return node_epoch_[v] == epoch_ ? desire_[v] : kEmptyItemSet;
-  }
-  ItemSet AdoptionOf(NodeId v) const {
-    return node_epoch_[v] == epoch_ ? adoption_[v] : kEmptyItemSet;
-  }
-  void Touch(NodeId v) {
-    if (node_epoch_[v] != epoch_) {
-      node_epoch_[v] = epoch_;
-      desire_[v] = kEmptyItemSet;
-      adoption_[v] = kEmptyItemSet;
-    }
+  /// `NodeState::live` before the node's first propagation in the current
+  /// diffusion.
+  static constexpr uint32_t kUnpropagated = ~uint32_t{0};
+
+  /// One node's diffusion state; a record whose `epoch` is not the current
+  /// one is stale and reads as empty.
+  struct NodeState {
+    uint32_t epoch = 0;
+    ItemSet desire = kEmptyItemSet;
+    ItemSet adoption = kEmptyItemSet;
+    /// Offset into `live_` of the node's slice: a count, then that many
+    /// live out-neighbors in adjacency order.
+    uint32_t live = kUnpropagated;
+  };
+
+  /// Reset `v`'s record if it is stale. Returns true if it was.
+  bool Touch(NodeId v) {
+    NodeState& s = state_[v];
+    if (s.epoch == epoch_) return false;
+    s = {epoch_, kEmptyItemSet, kEmptyItemSet, kUnpropagated};
+    return true;
   }
 
   const Graph& graph_;
   uint32_t epoch_ = 0;
-  std::vector<uint32_t> node_epoch_;
-  std::vector<ItemSet> desire_;
-  std::vector<ItemSet> adoption_;
-  std::vector<uint32_t> edge_epoch_;
-  std::vector<uint8_t> edge_live_;
+  std::vector<NodeState> state_;
+  std::vector<NodeId> live_;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_;
   std::vector<NodeId> touched_;

@@ -68,13 +68,23 @@ bool WaitReadable(int fd, const std::atomic<bool>* stop) {
 
 bool FdLineChannel::ReadLine(std::string* line,
                              const std::atomic<bool>* stop) {
-  while (true) {
-    const size_t nl = buffer_.find('\n');
+  while (!line_too_long_) {
+    // Resume the scan where the last one stopped: re-scanning the whole
+    // buffer after every chunk would be quadratic in the line length.
+    const size_t nl = buffer_.find('\n', scanned_);
+    const size_t line_bytes = nl != std::string::npos ? nl : buffer_.size();
+    if (line_bytes > kMaxLineBytes) {
+      line_too_long_ = true;
+      buffer_.clear();
+      break;
+    }
     if (nl != std::string::npos) {
       line->assign(buffer_, 0, nl);
       buffer_.erase(0, nl + 1);
+      scanned_ = 0;
       return true;
     }
+    scanned_ = buffer_.size();
     if (eof_) {
       if (buffer_.empty()) return false;
       *line = std::move(buffer_);  // final unterminated line
@@ -109,6 +119,7 @@ bool FdLineChannel::ReadLine(std::string* line,
     bytes_read.Add(static_cast<uint64_t>(n));
     buffer_.append(chunk, static_cast<size_t>(n));
   }
+  return false;
 }
 
 bool FdLineChannel::WriteLine(const std::string& line) {

@@ -32,11 +32,19 @@ class FdLineChannel {
   FdLineChannel(int read_fd, int write_fd, bool socket_fds = false)
       : read_fd_(read_fd), write_fd_(write_fd), socket_fds_(socket_fds) {}
 
+  /// Longest line ReadLine accepts, newline excluded. Requests carry specs,
+  /// never edge lists, so no legitimate line comes near it.
+  static constexpr size_t kMaxLineBytes = size_t{1} << 20;
+
   /// Read the next line into `*line` (newline stripped). Returns false on
   /// EOF, on a read error, or — checked roughly every 100 ms — when
   /// `*stop` becomes true. A final unterminated line is delivered before
-  /// EOF is reported.
+  /// EOF is reported. A line longer than kMaxLineBytes also returns false
+  /// and sets line_too_long(); the channel then reads nothing more.
   bool ReadLine(std::string* line, const std::atomic<bool>* stop = nullptr);
+
+  /// True once ReadLine has met a line longer than kMaxLineBytes.
+  bool line_too_long() const { return line_too_long_; }
 
   /// Write `line` plus '\n', looping over partial writes. False on error
   /// (e.g. the peer is gone).
@@ -53,7 +61,9 @@ class FdLineChannel {
   int write_fd_;
   bool socket_fds_;
   std::string buffer_;  ///< bytes read past the last returned line
+  size_t scanned_ = 0;  ///< prefix of buffer_ known to hold no '\n'
   bool eof_ = false;
+  bool line_too_long_ = false;
 };
 
 /// \brief An accepted TCP connection (owns the fd; move-only).

@@ -646,6 +646,13 @@ void Server::ServePipe(FdLineChannel& channel) {
     if (line.empty()) continue;
     if (!channel.WriteLine(HandleLine(line))) break;
   }
+  if (channel.line_too_long()) {
+    AccountRequest("", false);
+    (void)channel.WriteLine(ErrorResponse(
+        Json::Null(), ErrorCode::kBadRequest,
+        "request line exceeds " +
+            std::to_string(FdLineChannel::kMaxLineBytes) + " bytes"));
+  }
 }
 
 Status Server::ServeTcp(TcpListener& listener) {
@@ -675,12 +682,8 @@ Status Server::ServeTcp(TcpListener& listener) {
                                                         done]() {
       FdLineChannel channel(connection->fd(), connection->fd(),
                             /*socket_fds=*/true);
-      std::string line;
-      while (channel.ReadLine(&line, stop_)) {
-        if (line.empty()) continue;
-        if (!channel.WriteLine(HandleLine(line))) break;
-        if (stopping()) break;
-      }
+      ServePipe(channel);
+      connection->Close();
       done->store(true, std::memory_order_release);
     });
     workers.push_back(std::move(worker));

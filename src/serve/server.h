@@ -77,7 +77,9 @@ class Server {
   std::string HandleLine(const std::string& line);
 
   /// Serve one JSON-lines session on `channel` until EOF, a `shutdown`
-  /// verb, or the stop flag. Requests run on the caller's thread.
+  /// verb, or the stop flag. Requests run on the caller's thread. A line
+  /// over FdLineChannel::kMaxLineBytes gets one `bad_request` reply and
+  /// ends the session as EOF would. ServeTcp runs each connection here.
   void ServePipe(FdLineChannel& channel);
 
   /// Accept loop: one BackgroundThread per connection, until the stop

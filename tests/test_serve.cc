@@ -526,6 +526,83 @@ TEST(ServeServer, FourConcurrentTcpClientsGetByteIdenticalResults) {
   }
 }
 
+// --- request-line cap -----------------------------------------------------
+
+TEST(ServeServer, OverlongLineGetsBadRequestThenTheConnectionCloses) {
+  Server server(GoldenOptions());
+  Result<TcpListener> listener = TcpListener::Listen(0);
+  ASSERT_TRUE(listener.ok()) << listener.status().message();
+  const uint16_t port = listener.value().port();
+  BackgroundThread serving([&] { (void)server.ServeTcp(listener.value()); });
+
+  {
+    // A line just under the cap still parses (trailing blanks are legal
+    // JSON whitespace).
+    Result<TcpConnection> conn = TcpListener::Connect(port);
+    ASSERT_TRUE(conn.ok()) << conn.status().message();
+    FdLineChannel channel(conn.value().fd(), conn.value().fd(), true);
+    std::string ping = "{\"id\":1,\"verb\":\"ping\"}";
+    ping.resize(FdLineChannel::kMaxLineBytes - 1, ' ');
+    ASSERT_TRUE(channel.WriteLine(ping));
+    std::string response;
+    ASSERT_TRUE(channel.ReadLine(&response));
+    EXPECT_EQ(response, "{\"id\":1,\"ok\":true,\"result\":{\"pong\":true}}");
+  }
+  {
+    // cap + 1 bytes with no newline: one bad_request, then the server
+    // closes the connection.
+    Result<TcpConnection> conn = TcpListener::Connect(port);
+    ASSERT_TRUE(conn.ok()) << conn.status().message();
+    FdLineChannel channel(conn.value().fd(), conn.value().fd(), true);
+    ASSERT_TRUE(
+        channel.WriteRaw(std::string(FdLineChannel::kMaxLineBytes + 1, 'x')));
+    std::string response;
+    ASSERT_TRUE(channel.ReadLine(&response));
+    EXPECT_NE(response.find("\"code\":\"bad_request\""), std::string::npos)
+        << response;
+    EXPECT_FALSE(channel.ReadLine(&response));  // EOF: the server closed
+  }
+  {
+    Result<TcpConnection> conn = TcpListener::Connect(port);
+    ASSERT_TRUE(conn.ok()) << conn.status().message();
+    FdLineChannel channel(conn.value().fd(), conn.value().fd(), true);
+    ASSERT_TRUE(channel.WriteLine("{\"id\":2,\"verb\":\"shutdown\"}"));
+    std::string response;
+    ASSERT_TRUE(channel.ReadLine(&response));
+  }
+  serving.Join();
+}
+
+TEST(ServeServer, OverlongLineEndsAPipeSessionAsAtEof) {
+  int in[2], out[2];
+  ASSERT_EQ(pipe(in), 0);
+  ASSERT_EQ(pipe(out), 0);
+  // The writer outruns the pipe buffer, so it runs beside the session. The
+  // ping after the over-long line must never be answered: the channel
+  // stops reading at the cap.
+  BackgroundThread writer([&] {
+    FdLineChannel channel(-1, in[1]);
+    (void)channel.WriteRaw(std::string(FdLineChannel::kMaxLineBytes + 1, 'x') +
+                           "\n{\"id\":3,\"verb\":\"ping\"}\n");
+    close(in[1]);
+  });
+  Server server(GoldenOptions());
+  FdLineChannel session(in[0], out[1]);
+  server.ServePipe(session);
+  EXPECT_TRUE(session.line_too_long());
+  writer.Join();
+  close(out[1]);
+
+  FdLineChannel reader(out[0], -1);
+  std::string response;
+  ASSERT_TRUE(reader.ReadLine(&response));
+  EXPECT_NE(response.find("\"code\":\"bad_request\""), std::string::npos)
+      << response;
+  EXPECT_FALSE(reader.ReadLine(&response)) << response;
+  close(in[0]);
+  close(out[0]);
+}
+
 // --- failpoints: channel-level fault injection -------------------------
 //
 // The send/recv/poll sites are exercised over a pipe pair, not TCP: both

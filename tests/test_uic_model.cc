@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "diffusion/lt_model.h"
+#include "exp/configs.h"
 #include "graph/generators.h"
 #include "items/supermodular_generators.h"
 
@@ -364,6 +368,111 @@ TEST(EstimateWelfare, WelfareIsNonNegativeUnderRationalAdoption) {
   for (NodeId v = 0; v < 15; ++v) alloc.Add(v, 0b11);
   const WelfareEstimate w = EstimateWelfare(g, alloc, params, 300, 8, 4);
   EXPECT_GE(w.welfare, 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bit pins of the Monte-Carlo draw sequence on an instance that re-reads
+// remembered edge outcomes. Fractional (weighted-cascade) probabilities
+// plus items seeded on different nodes make nodes adopt a second item
+// after they first propagated, so live out-edges are replayed (~4% of edge
+// visits here). Any change to the order of RNG draws, to which edges are
+// replayed, or to the order of the welfare sums moves these bits.
+// ---------------------------------------------------------------------------
+struct ReplayInstance {
+  Graph graph;
+  ItemParams params = MakeAdditiveConfig5(3);
+  Allocation allocation;
+};
+
+ReplayInstance MakeReplayInstance() {
+  ReplayInstance r;
+  r.graph = GeneratePreferentialAttachment(3000, 4, /*undirected=*/false,
+                                           /*seed=*/7);
+  r.graph.ApplyWeightedCascade();
+  Rng pick(11);
+  for (ItemId i = 0; i < 3; ++i) {
+    for (int j = 0; j < 15; ++j) {
+      r.allocation.AddItem(static_cast<NodeId>(pick.NextBounded(3000)), i);
+    }
+  }
+  return r;
+}
+
+struct EstimateBits {
+  uint64_t welfare, std_error, avg_adopters, avg_adoptions;
+};
+
+void ExpectBits(const WelfareEstimate& e, const EstimateBits& want) {
+  EXPECT_EQ(std::bit_cast<uint64_t>(e.welfare), want.welfare) << e.welfare;
+  EXPECT_EQ(std::bit_cast<uint64_t>(e.std_error), want.std_error)
+      << e.std_error;
+  EXPECT_EQ(std::bit_cast<uint64_t>(e.avg_adopters), want.avg_adopters)
+      << e.avg_adopters;
+  EXPECT_EQ(std::bit_cast<uint64_t>(e.avg_adoptions), want.avg_adoptions)
+      << e.avg_adoptions;
+}
+
+constexpr EstimateBits kIcPins = {0x406916060de3a2edULL, 0x40258249b254684aULL,
+                                  0x406386eeeeeeeeefULL,
+                                  0x40644ba06d3a06d4ULL};
+constexpr EstimateBits kLtPins = {0x406c76fee85fb28eULL, 0x4027b109b246a546ULL,
+                                  0x4066022222222222ULL,
+                                  0x40667da740da740eULL};
+
+TEST(ReplayPins, EstimateWelfareBitsAtWorkers1And4) {
+  const ReplayInstance r = MakeReplayInstance();
+  for (unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    ExpectBits(
+        EstimateWelfare(r.graph, r.allocation, r.params, 300, 2024, workers),
+        kIcPins);
+  }
+}
+
+TEST(ReplayPins, EstimateWelfareLtBitsAtWorkers1And4) {
+  const ReplayInstance r = MakeReplayInstance();
+  for (unsigned workers : {1u, 4u}) {
+    SCOPED_TRACE(workers);
+    ExpectBits(
+        EstimateWelfareLt(r.graph, r.allocation, r.params, 300, 2024, workers),
+        kLtPins);
+  }
+}
+
+uint64_t Fnv1a(uint64_t h, uint64_t x) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (x >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+TEST(ReplayPins, RunDetailedAdoptionListHash) {
+  // Fifth diffusion on one simulator: state from the earlier runs must be
+  // invisible, and the list comes out in first-touch order.
+  const ReplayInstance r = MakeReplayInstance();
+  UicSimulator sim(r.graph);
+  Rng rng(99);
+  std::vector<double> noise;
+  UtilityTable table(r.params);
+  std::vector<std::pair<NodeId, ItemSet>> adoptions;
+  UicOutcome out;
+  for (int run = 0; run < 5; ++run) {
+    r.params.noise().Sample(rng, &noise);
+    table.Rebuild(r.params, noise);
+    out = sim.RunDetailed(r.allocation, table, rng, &adoptions);
+  }
+  uint64_t h = 0xcbf29ce484222325ULL;
+  h = Fnv1a(h, adoptions.size());
+  for (const auto& [v, a] : adoptions) {
+    h = Fnv1a(h, v);
+    h = Fnv1a(h, a);
+  }
+  EXPECT_EQ(h, 0x577582404b77b9f1ULL);
+  EXPECT_EQ(adoptions.size(), 139u);
+  EXPECT_EQ(out.num_adopters, 139u);
+  EXPECT_EQ(out.num_adoptions, 141u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(out.welfare), 0x407a13832350aacaULL);
 }
 
 }  // namespace

@@ -114,7 +114,7 @@ TEST(UicLint, EdgeBernoulliRuleExemptsOnlyTheSamplingKernels) {
   EXPECT_TRUE(LintSource("src/rrset/rr_collection.cc", source).empty());
   EXPECT_TRUE(LintSource("src/diffusion/ic_model.cc", source).empty());
   // ...anywhere else the loop must go through a SamplingPlan kernel or
-  // earn a whitelist entry (as uic_model.cc's edge memo does).
+  // earn a whitelist entry (as uic_model.cc's forward simulator does).
   EXPECT_EQ(LintSource("src/diffusion/uic_model.cc", source).size(), 1u);
   EXPECT_EQ(LintSource("tests/test_models.cc", source).size(), 1u);
 }
