@@ -11,11 +11,12 @@ Graph GenerateErdosRenyi(NodeId n, size_t m, uint64_t seed) {
   UIC_CHECK_GT(n, 1u);
   Rng rng(seed);
   GraphBuilder builder(n);
+  // Clamp before reserving: an over-asked m becomes the complete graph.
+  const size_t max_possible = static_cast<size_t>(n) * (n - 1);
+  if (m > max_possible) m = max_possible;
   std::unordered_set<uint64_t> used;
   used.reserve(m * 2);
   size_t added = 0;
-  const size_t max_possible = static_cast<size_t>(n) * (n - 1);
-  if (m > max_possible) m = max_possible;
   while (added < m) {
     const NodeId u = static_cast<NodeId>(rng.NextBounded(n));
     const NodeId v = static_cast<NodeId>(rng.NextBounded(n));

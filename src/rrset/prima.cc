@@ -99,7 +99,7 @@ ImResult Prima(const Graph& graph, const std::vector<uint32_t>& budgets_in,
   // Regeneration fix: the guarantee requires the final NodeSelection to run
   // on RR sets whose count was fixed *before* sampling them. Regenerate the
   // pool from scratch at the determined size — reusing the same engine
-  // instance (arenas, index, thread pool) under a fresh seed.
+  // instance (streams, index, thread pool) under a fresh seed.
   double theta_final = theta_max;
   if (theta_final <= 0.0) theta_final = static_cast<double>(pool.size());
   const size_t final_count =

@@ -1,5 +1,6 @@
 #include "rrset/rr_collection.h"
 
+#include <algorithm>
 #include <array>
 
 #include "common/check.h"
@@ -193,26 +194,25 @@ RrCollection::RrCollection(const Graph& graph, uint64_t seed,
       cache_(options.stream_cache) {
   if (workers_ == 0) workers_ = DefaultWorkers();
   if (pool_ == nullptr) pool_ = &ThreadPool::Shared();
-  SeedStreams(seed);
-  stream_pos_.assign(kRrStreams, 0);
+  for (unsigned s = 0; s < kRrStreams; ++s) own_[s].rng = Rng::Split(seed, s);
   index_degree_.assign(graph_.num_nodes(), 0);
 }
 
-void RrCollection::SeedStreams(uint64_t seed) {
-  streams_.clear();
-  streams_.reserve(kRrStreams);
-  for (unsigned s = 0; s < kRrStreams; ++s) {
-    streams_.push_back(Rng::Split(seed, s));
-  }
-}
-
 void RrCollection::Clear() {
-  // Stream positions (cold: the RNG states; warm: stream_pos_) persist, so
-  // growth after Clear continues the sample streams where they left off.
-  sets_.clear();
-  arenas_.clear();
+  // Stream positions persist, so growth after Clear continues every
+  // stream where this collection left it: a warm collection moves its
+  // base past the samples it held; a cold one drops them while its RNGs
+  // keep their positions.
+  for (unsigned s = 0; s < kRrStreams; ++s) {
+    if (cache_ != nullptr) {
+      base_[s] += QuotBegin(size_, s);
+    } else {
+      own_[s].nodes.clear();
+      own_[s].ends.clear();
+    }
+  }
+  size_ = 0;
   total_nodes_ = 0;
-  edges_examined_ = 0;
   index_.clear();
   index_degree_.assign(graph_.num_nodes(), 0);
 }
@@ -220,145 +220,148 @@ void RrCollection::Clear() {
 void RrCollection::Reset(uint64_t seed) {
   Clear();
   seed_ = seed;
-  SeedStreams(seed);
-  stream_pos_.assign(kRrStreams, 0);
-  cache_entry_ = nullptr;  // re-bound (to the new seed's entry) on next growth
+  for (unsigned s = 0; s < kRrStreams; ++s) own_[s].rng = Rng::Split(seed, s);
+  base_.fill(0);
+  streams_ = nullptr;  // re-bound (to the new seed's entry) on next growth
 }
 
-void RrCollection::GenerateUntil(size_t target) {
-  if (target <= size()) return;
-  const size_t first = sets_.size();
+void RrCollection::BindStreams() {
   if (cache_ != nullptr) {
-    GenerateFromCache(first, target);
-  } else {
-    EnsurePlan();
-    GenerateFresh(first, target);
-  }
-  UIC_CHECK_GE(size(), target);
-  ExtendIndex(first);
-}
-
-void RrCollection::EnsurePlan() {
-  if (ResolveSamplingKernel(options_.kernel) != SamplingKernel::kSkip ||
-      options_.sampling_plan != nullptr) {
+    cache_->BindGraph(graph_);
+    RrStreamCache::Entry* entry = cache_->GetEntry(seed_, options_);
+    streams_ = entry->streams.data();
+    sampling_ = &entry->sampling;
     return;
   }
-  if (plan_ == nullptr) {
+  // The per-stream samplers share one plan — the caller's, or one built
+  // here once and kept for the collection's lifetime — before generation
+  // fans out, instead of each building their own.
+  if (ResolveSamplingKernel(options_.kernel) == SamplingKernel::kSkip &&
+      options_.sampling_plan == nullptr) {
     plan_ = SamplingPlan::Build(graph_, SamplingPlan::Direction::kReverse,
                                 options_.linear_threshold
                                     ? SamplingPlan::kLtAlias
                                     : SamplingPlan::kIcBuckets);
+    options_.sampling_plan = plan_.get();
   }
-  options_.sampling_plan = plan_.get();
+  streams_ = own_.data();
+  sampling_ = &options_;
 }
 
-void RrCollection::GenerateFresh(size_t first, size_t target) {
-  // Each logical stream samples its slice of [first, target) — the global
-  // indices g with g % kRrStreams == s, i.e. the next QuotBegin(target, s)
-  // − QuotBegin(first, s) draws of its persistent RNG — into its own
-  // arena. `workers_` only bounds how many streams run concurrently; the
-  // pool content depends on the seed alone.
-  struct StreamOut {
-    std::vector<uint32_t> sizes;
-    std::vector<NodeId> nodes;
-    size_t edges = 0;
-  };
-  std::array<StreamOut, kRrStreams> outs;
+void RrCollection::GenerateUntil(size_t target) {
+  if (target <= size_) return;
+  const size_t first = size_;
+  if (streams_ == nullptr) BindStreams();
+
+  // Each logical stream must hold this collection's slice of [0, target):
+  // the global indices g with g % kRrStreams == s, i.e. QuotBegin(target,
+  // s) samples from its base. Streams already long enough (a warm cache
+  // past its high-water mark) cost nothing; the rest draw the missing
+  // samples from their own RNG, in parallel. `workers_` only bounds how
+  // many streams run concurrently; the pool content depends on the seed
+  // alone, and a cache replays byte-for-byte what a cold stream draws.
+  std::array<size_t, kRrStreams> drawn{};     // sets sampled per stream
+  std::array<size_t, kRrStreams> examined{};  // their edges examined
   pool_->ParallelFor(
       kRrStreams, workers_, [&](unsigned, size_t sb, size_t se) {
         for (size_t s = sb; s < se; ++s) {
-          const size_t q0 = QuotBegin(first, static_cast<unsigned>(s));
-          const size_t q1 = QuotBegin(target, static_cast<unsigned>(s));
-          if (q1 <= q0) continue;
-          RrSampler sampler(graph_, options_);
-          StreamOut& out = outs[s];
-          for (size_t q = q0; q < q1; ++q) {
-            const size_t before = out.nodes.size();
-            out.edges += sampler.SampleAppend(streams_[s], &out.nodes);
-            out.sizes.push_back(static_cast<uint32_t>(out.nodes.size() -
-                                                      before));
+          RrStream& stream = streams_[s];
+          const size_t need =
+              base_[s] + QuotBegin(target, static_cast<unsigned>(s));
+          const size_t have = stream.ends.size();
+          if (need <= have) continue;
+          if (stream.ends.capacity() < need) {
+            // Exact for one big round (a final pool), geometric for many
+            // small ones.
+            stream.ends.reserve(
+                std::max(need, stream.ends.capacity() * 3 / 2));
           }
+          RrSampler sampler(graph_, *sampling_);
+          size_t edges = 0;
+          for (size_t i = have; i < need; ++i) {
+            edges += sampler.SampleAppend(stream.rng, &stream.nodes);
+            stream.ends.push_back(stream.nodes.size());
+          }
+          drawn[s] = need - have;
+          examined[s] = edges;
         }
       });
 
-  // Merge by move: each stream arena becomes collection storage as-is (its
-  // heap buffer, and thus every SetRef into it, stays stable), then the
-  // SetRefs are laid down in global-index order.
-  sets_.reserve(target);
-  std::array<const NodeId*, kRrStreams> base{};
-  std::array<size_t, kRrStreams> off{};
-  std::array<size_t, kRrStreams> idx{};
-  uint64_t edges_round = 0;
+  size_t sampled = 0;
+  size_t edges = 0;
   for (unsigned s = 0; s < kRrStreams; ++s) {
-    StreamOut& out = outs[s];
-    edges_examined_ += out.edges;
-    edges_round += out.edges;
-    total_nodes_ += out.nodes.size();
-    stream_pos_[s] += out.sizes.size();
-    if (!out.nodes.empty()) {
-      arenas_.push_back(std::move(out.nodes));
-      base[s] = arenas_.back().data();
-    }
+    UIC_CHECK_GE(streams_[s].ends.size(), base_[s] + QuotBegin(target, s));
+    total_nodes_ += StreamSlice(s, first, target).size();
+    sampled += drawn[s];
+    edges += examined[s];
   }
-  for (size_t g = first; g < target; ++g) {
-    const unsigned s = static_cast<unsigned>(g % kRrStreams);
-    const uint32_t sz = outs[s].sizes[idx[s]++];
-    sets_.push_back(SetRef{base[s] + off[s], sz});
-    off[s] += sz;
-  }
+  size_ = target;
   // One batched add per growth round (not per set) keeps the instrument
   // cost off the sampling hot path.
-  UIC_METRIC_COUNTER(rr_sets, "uic_rr_sets_sampled_total",
-                     "RR sets freshly sampled (cold path + cache fills).");
-  rr_sets.Add(target - first);
-  UIC_METRIC_COUNTER(rr_edges, "uic_rr_edges_examined_total",
-                     "Edges examined by the RR sampling kernels.");
-  rr_edges.Add(edges_round);
+  if (sampled > 0) {
+    UIC_METRIC_COUNTER(rr_sets, "uic_rr_sets_sampled_total",
+                       "RR sets freshly sampled (cold path + cache fills).");
+    rr_sets.Add(sampled);
+    UIC_METRIC_COUNTER(rr_edges, "uic_rr_edges_examined_total",
+                       "Edges examined by the RR sampling kernels.");
+    rr_edges.Add(edges);
+  }
+  if (cache_ != nullptr) {
+    cache_->sampled_sets_ += sampled;
+    cache_->served_sets_ += target - first;
+    UIC_METRIC_COUNTER(rr_served, "uic_rr_cache_sets_served_total",
+                       "RR sets served by warm-cache stream replay.");
+    rr_served.Add(target - first);
+  }
+  ExtendIndex(first);
 }
 
-void RrCollection::GenerateFromCache(size_t first, size_t target) {
-  auto* entry = static_cast<RrStreamCache::Entry*>(cache_entry_);
-  if (entry == nullptr) {
-    cache_->BindGraph(graph_);
-    entry = cache_->GetEntry(seed_, options_);
-    cache_entry_ = entry;
-  }
-  // Extend the cache streams (in parallel) past this round's high-water
-  // marks; streams already long enough cost nothing.
-  pool_->ParallelFor(
-      kRrStreams, workers_, [&](unsigned, size_t sb, size_t se) {
-        for (size_t s = sb; s < se; ++s) {
-          const unsigned su = static_cast<unsigned>(s);
-          const size_t grow = QuotBegin(target, su) - QuotBegin(first, su);
-          if (grow == 0) continue;
-          cache_->EnsureSamples(entry, su, stream_pos_[s] + grow);
-        }
-      });
+std::span<const NodeId> RrCollection::StreamSlice(unsigned s, size_t first,
+                                                  size_t last) const {
+  if (first >= last) return {};
+  const RrStream& stream = streams_[s];
+  const NodeId* nodes = stream.nodes.data();
+  return {nodes + stream.Begin(base_[s] + QuotBegin(first, s)),
+          nodes + stream.Begin(base_[s] + QuotBegin(last, s))};
+}
 
-  // Serve the slices — byte-for-byte the sets GenerateFresh would have
-  // drawn, since cache streams replay the same RNG sequences.
-  sets_.reserve(target);
-  std::array<size_t, kRrStreams> taken{};
-  for (size_t g = first; g < target; ++g) {
-    const unsigned s = static_cast<unsigned>(g % kRrStreams);
-    const RrStreamCache::Sample& smp =
-        entry->streams[s].samples[stream_pos_[s] + taken[s]];
-    ++taken[s];
-    sets_.push_back(SetRef{smp.data, smp.size});
-    total_nodes_ += smp.size;
-    edges_examined_ += smp.edges;
+template <typename Fn>
+void RrCollection::ForEachSet(size_t first, size_t last, Fn&& fn) const {
+  if (first >= last) return;
+  std::array<const NodeId*, kRrStreams> nodes;
+  std::array<const uint64_t*, kRrStreams> ends;  // from this collection's base
+  std::array<uint64_t, kRrStreams> begin;
+  for (unsigned s = 0; s < kRrStreams; ++s) {
+    const RrStream& stream = streams_[s];
+    nodes[s] = stream.nodes.data();
+    ends[s] = stream.ends.data() + base_[s];
+    begin[s] = stream.Begin(base_[s] + QuotBegin(first, s));
   }
-  for (unsigned s = 0; s < kRrStreams; ++s) stream_pos_[s] += taken[s];
-  cache_->served_sets_ += target - first;
-  UIC_METRIC_COUNTER(rr_served, "uic_rr_cache_sets_served_total",
-                     "RR sets served by warm-cache stream replay.");
-  rr_served.Add(target - first);
+  size_t q = first / kRrStreams;
+  unsigned s = static_cast<unsigned>(first % kRrStreams);
+  for (size_t r = first; r < last; ++r) {
+    const uint64_t end = ends[s][q];
+    fn(r, std::span<const NodeId>(nodes[s] + begin[s], nodes[s] + end));
+    begin[s] = end;
+    if (++s == kRrStreams) {
+      s = 0;
+      ++q;
+    }
+  }
+}
+
+size_t RrCollection::TotalEdgesExamined() const {
+  size_t edges = 0;
+  for (unsigned s = 0; s < kRrStreams; ++s) {
+    for (NodeId v : StreamSlice(s, 0, size_)) edges += graph_.InDegree(v);
+  }
+  return edges;
 }
 
 void RrCollection::ExtendIndex(size_t first_new) {
-  const size_t num_new = sets_.size() - first_new;
+  const size_t num_new = size_ - first_new;
   if (num_new == 0) return;
-  UIC_CHECK_LT(sets_.size(), size_t{UINT32_MAX});  // ids are uint32
+  UIC_CHECK_LT(size_, size_t{UINT32_MAX});  // ids are uint32
   const size_t n = graph_.num_nodes();
 
   // Logical workers for this delta build; ParallelFor clamps identically,
@@ -371,13 +374,15 @@ void RrCollection::ExtendIndex(size_t first_new) {
   if (iw < 1) iw = 1;
 
   // Pass 1 (parallel): per-(worker, node) occurrence counts over each
-  // worker's slice of the new sets.
+  // worker's slice of the new sets — 16 contiguous stream slices.
   std::vector<uint32_t> scratch(static_cast<size_t>(iw) * n, 0);
   uint32_t* counts = scratch.data();
   pool_->ParallelFor(num_new, iw, [&](unsigned w, size_t begin, size_t end) {
     uint32_t* cnt = counts + static_cast<size_t>(w) * n;
-    for (size_t r = begin; r < end; ++r) {
-      for (NodeId v : Set(first_new + r)) ++cnt[v];
+    for (unsigned s = 0; s < kRrStreams; ++s) {
+      for (NodeId v : StreamSlice(s, first_new + begin, first_new + end)) {
+        ++cnt[v];
+      }
     }
   });
 
@@ -410,10 +415,11 @@ void RrCollection::ExtendIndex(size_t first_new) {
   const size_t* off = delta.off.data();
   pool_->ParallelFor(num_new, iw, [&](unsigned w, size_t begin, size_t end) {
     uint32_t* cur = counts + static_cast<size_t>(w) * n;
-    for (size_t r = begin; r < end; ++r) {
-      const uint32_t id = static_cast<uint32_t>(first_new + r);
-      for (NodeId v : Set(id)) slots[off[v] + cur[v]++] = id;
-    }
+    ForEachSet(first_new + begin, first_new + end,
+               [&](size_t r, std::span<const NodeId> set) {
+                 const uint32_t id = static_cast<uint32_t>(r);
+                 for (NodeId v : set) slots[off[v] + cur[v]++] = id;
+               });
   });
   index_.push_back(std::move(delta));
 

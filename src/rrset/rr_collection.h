@@ -7,8 +7,8 @@
 //
 // `RrCollection` is the RR engine's state: a growing pool of RR sets plus
 // the inverted node→RR-set coverage index NodeSelection consumes, both
-// maintained *incrementally* — every `GenerateUntil` round appends
-// per-stream arenas by move and extends the index with a CSR delta built
+// maintained *incrementally* — every `GenerateUntil` round extends the
+// sample streams in parallel and extends the index with a CSR delta built
 // in parallel, so nothing is recomputed when the pool only grows. All
 // parallel work runs on a persistent `ThreadPool` (the process-wide
 // shared pool by default); no threads are spawned per round.
@@ -24,8 +24,16 @@
 //   * any pool is a prefix of one deterministic infinite sequence, so a
 //     sweep can serve it warm from an `RrStreamCache` (rr_stream_cache.h)
 //     with bit-identical results.
+//
+// Storage has one format, `RrStream`: per stream, every sample's node ids
+// back to back plus one 8-byte end offset per sample. A cold collection
+// owns its 16 streams; a warm one borrows those of an `RrStreamCache`
+// entry. Either way the collection keeps no per-set data — set g is
+// sample base[s] + g / kRrStreams of stream s = g % kRrStreams, where
+// base[s] is where the collection started reading stream s.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -43,6 +51,25 @@ class RrStreamCache;
 /// Number of logical RR sample streams — the RR engine's name for the
 /// process-wide stream-grid width (one constant, common/random.h).
 inline constexpr unsigned kRrStreams = kRngStreams;
+
+/// \brief One logical sample stream's materialized prefix, in CSR form.
+///
+/// Sample i occupies `nodes[Begin(i) .. ends[i])`. A sample can be empty
+/// (a coin-pool root that fails its coin): then ends[i] == ends[i − 1].
+/// Owned by a cold RrCollection or by an RrStreamCache entry, and only
+/// ever appended to, by RrCollection::GenerateUntil.
+///
+/// Workers extend distinct streams concurrently and write the RNG state
+/// and both vectors' ends on every draw, so each stream gets cache lines
+/// of its own: packed (80-byte) streams share lines with their
+/// neighbours, and growth slows whenever neighbours run at once.
+struct alignas(64) RrStream {
+  Rng rng;                     ///< positioned after ends.size() draws
+  std::vector<NodeId> nodes;   ///< every sample's node ids, back to back
+  std::vector<uint64_t> ends;  ///< end offset into `nodes`, one per sample
+
+  uint64_t Begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+};
 
 /// \brief Options modifying RR sampling semantics.
 struct RrOptions {
@@ -99,9 +126,9 @@ class RrCollection {
   RrCollection(const Graph& graph, uint64_t seed, unsigned workers = 0,
                RrOptions options = {}, ThreadPool* pool = nullptr);
 
-  // Not copyable: SetRef entries point into this collection's arena
-  // buffers (or a shared RrStreamCache's), so a copy would alias storage
-  // the source frees on Clear()/destruction.
+  // Not copyable: a collection reads its sets through a pointer to its
+  // streams (its own, or a shared RrStreamCache entry's), which a copy
+  // would alias.
   RrCollection(const RrCollection&) = delete;
   RrCollection& operator=(const RrCollection&) = delete;
 
@@ -109,19 +136,27 @@ class RrCollection {
   /// coverage index with the new sets.
   void GenerateUntil(size_t target);
 
-  size_t size() const { return sets_.size(); }
+  size_t size() const { return size_; }
 
-  /// Nodes of RR set `r`.
+  /// Nodes of RR set `r`. The span points into stream storage that growth
+  /// may reallocate: it is valid only until the next GenerateUntil of ANY
+  /// collection reading the same streams (this one, or another collection
+  /// on the same RrStreamCache entry), or this collection's Clear()/Reset().
   std::span<const NodeId> Set(size_t r) const {
-    const SetRef& s = sets_[r];
-    return {s.data, s.data + s.size};
+    const unsigned s = static_cast<unsigned>(r % kRrStreams);
+    const RrStream& stream = streams_[s];
+    const size_t i = base_[s] + r / kRrStreams;
+    return {stream.nodes.data() + stream.Begin(i),
+            stream.nodes.data() + stream.ends[i]};
   }
 
   /// Total Σ_r |R_r| (memory proxy; also the NodeSelection cost).
   size_t TotalNodes() const { return total_nodes_; }
 
   /// Total Σ_r w(R_r): edges examined while sampling (EPT cost model).
-  size_t TotalEdgesExamined() const { return edges_examined_; }
+  /// The samplers charge w(R) = Σ_{v∈R} indeg(v) (§4.2.3), so this is
+  /// computed from the stored sets when called — O(TotalNodes()).
+  size_t TotalEdgesExamined() const;
 
   const Graph& graph() const { return graph_; }
 
@@ -164,15 +199,6 @@ class RrCollection {
   size_t IndexDeltaCount() const { return index_.size(); }
 
  private:
-  /// An RR set lives contiguously inside one of the per-stream arenas
-  /// (owned by this collection, or by the attached stream cache); arena
-  /// buffers are never touched after the move, so the pointer stays valid
-  /// until Clear() (resp. cache destruction).
-  struct SetRef {
-    const NodeId* data;
-    uint32_t size;
-  };
-
   /// One growth round's contribution to the inverted index, in CSR form:
   /// `sets[off[v] .. off[v+1])` are the ids of this round's RR sets that
   /// contain v. Offsets are size_t (a delta can hold the whole pool after
@@ -184,21 +210,22 @@ class RrCollection {
     std::vector<uint32_t> sets;  // global RR set ids, ascending per node
   };
 
-  void SeedStreams(uint64_t seed);
+  /// Point `streams_` at the streams this collection reads — its own, or
+  /// the attached cache's entry for (seed, options) — and `sampling_` at
+  /// the options their samplers run with. Done on the first growth after
+  /// construction or Reset().
+  void BindStreams();
 
-  /// Make `options_.sampling_plan` usable before cold generation fans
-  /// out: when the resolved kernel needs a plan and none was supplied,
-  /// build one (once) and keep it for the collection's lifetime, so the
-  /// per-stream samplers share it instead of each building their own.
-  void EnsurePlan();
+  /// The node ids of the sets [first, last) that live in stream `s`: one
+  /// contiguous slice of the stream, for scans that need no set order.
+  std::span<const NodeId> StreamSlice(unsigned s, size_t first,
+                                      size_t last) const;
 
-  /// Cold growth: draw this round's per-stream slices from the
-  /// collection-owned RNG streams into fresh arenas.
-  void GenerateFresh(size_t first, size_t target);
-
-  /// Warm growth: serve this round's slices from the attached stream
-  /// cache, extending the cache past its high-water mark as needed.
-  void GenerateFromCache(size_t first, size_t target);
+  /// Invoke `fn(set_id, nodes)` for the sets [first, last) in id order.
+  /// Carries one running begin offset per stream rather than reading the
+  /// previous sample's end for every set.
+  template <typename Fn>
+  void ForEachSet(size_t first, size_t last, Fn&& fn) const;
 
   /// Build the CSR delta for the new sets [first_new, size()) in parallel
   /// and append it to the index, merging deltas per the tiering policy.
@@ -217,20 +244,20 @@ class RrCollection {
   unsigned workers_;
   ThreadPool* pool_;
   uint64_t seed_;
-  std::vector<Rng> streams_;       ///< cold-path RNGs, one per logical stream
-  std::vector<size_t> stream_pos_; ///< samples consumed per stream since Reset
+  RrStreamCache* cache_;  ///< nullptr = cold
 
-  RrStreamCache* cache_ = nullptr;       ///< nullptr = cold
-  void* cache_entry_ = nullptr;          ///< RrStreamCache::Entry*, lazily bound
-
-  /// Lazily built by EnsurePlan when the kernel needs one and the caller
-  /// did not supply `options_.sampling_plan`.
+  /// Built by a cold collection's first BindStreams when the kernel needs
+  /// a plan and the caller did not supply `options_.sampling_plan`.
   std::shared_ptr<const SamplingPlan> plan_;
 
-  std::vector<std::vector<NodeId>> arenas_;  ///< moved-in stream buffers
-  std::vector<SetRef> sets_;
+  std::array<RrStream, kRrStreams> own_;  ///< a cold collection's streams
+  RrStream* streams_ = nullptr;           ///< own_ or a cache entry's
+  const RrOptions* sampling_ = nullptr;   ///< sampler options for streams_
+  /// Per stream, the sample index this collection's first set of that
+  /// stream lives at (nonzero only for a warm collection after Clear()).
+  std::array<size_t, kRrStreams> base_{};
+  size_t size_ = 0;
   size_t total_nodes_ = 0;
-  size_t edges_examined_ = 0;
 
   std::vector<uint32_t> index_degree_;  ///< per node, summed over deltas
   std::vector<IndexDelta> index_;

@@ -1,14 +1,12 @@
 #include "rrset/rr_stream_cache.h"
 
 #include "common/check.h"
-#include "obs/metrics.h"
 
 namespace uic {
 
 RrStreamCache::Stats RrStreamCache::stats() const {
   Stats s;
-  s.sampled_sets = sampled_sets_.load(std::memory_order_relaxed);
-  s.sampled_nodes = sampled_nodes_.load(std::memory_order_relaxed);
+  s.sampled_sets = sampled_sets_;
   s.served_sets = served_sets_;
   s.entries = entries_.size();
   return s;
@@ -26,14 +24,16 @@ void RrStreamCache::Clear() {
 
 void RrStreamCache::TrimPassProbEntries(size_t keep) {
   size_t with_coins = 0;
-  for (const auto& e : entries_) with_coins += e->has_pass_prob;
+  for (const auto& e : entries_) {
+    with_coins += e->sampling.node_pass_prob != nullptr;
+  }
   if (with_coins <= keep) return;
   size_t drop = with_coins - keep;
   // entries_ is in creation order; drop the oldest coin entries first.
   std::vector<std::unique_ptr<Entry>> kept;
   kept.reserve(entries_.size() - drop);
   for (auto& e : entries_) {
-    if (e->has_pass_prob && drop > 0) {
+    if (e->sampling.node_pass_prob != nullptr && drop > 0) {
       --drop;
       continue;
     }
@@ -57,8 +57,9 @@ RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
   const bool has_pp = options.node_pass_prob != nullptr;
   const SamplingKernel kernel = ResolveSamplingKernel(options.kernel);
   for (const auto& e : entries_) {
-    if (e->seed != seed || e->linear_threshold != options.linear_threshold ||
-        e->has_pass_prob != has_pp || e->kernel != kernel) {
+    const RrOptions& key = e->sampling;
+    if (e->seed != seed || key.linear_threshold != options.linear_threshold ||
+        (key.node_pass_prob != nullptr) != has_pp || key.kernel != kernel) {
       continue;
     }
     // Pass probabilities are keyed by *contents* (callers typically rebuild
@@ -69,13 +70,15 @@ RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
   }
   auto e = std::make_unique<Entry>();
   e->seed = seed;
-  e->linear_threshold = options.linear_threshold;
-  e->has_pass_prob = has_pp;
-  e->kernel = kernel;
-  if (has_pp) e->pass_prob = *options.node_pass_prob;
+  e->sampling.linear_threshold = options.linear_threshold;
+  e->sampling.kernel = kernel;
+  if (has_pp) {
+    e->pass_prob = *options.node_pass_prob;
+    e->sampling.node_pass_prob = &e->pass_prob;
+  }
   if (kernel == SamplingKernel::kSkip) {
     // One plan per bound graph and feature, shared across entries; built
-    // here (serially) so concurrent EnsureSamples calls only read it.
+    // here (serially) so concurrent stream extensions only read it.
     std::shared_ptr<const SamplingPlan>& plan =
         options.linear_threshold ? lt_plan_ : ic_plan_;
     if (plan == nullptr) {
@@ -85,63 +88,15 @@ RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
                                      : SamplingPlan::kIcBuckets);
     }
     e->plan = plan;
+    e->sampling.sampling_plan = plan.get();
   }
-  e->streams.resize(kRrStreams);
   for (unsigned s = 0; s < kRrStreams; ++s) {
-    // Must match RrCollection::SeedStreams so cached draws replay exactly
+    // Must match RrCollection's own seeding so cached draws replay exactly
     // the cold RNG sequences.
     e->streams[s].rng = Rng::Split(seed, s);
   }
   entries_.push_back(std::move(e));
   return entries_.back().get();
-}
-
-void RrStreamCache::EnsureSamples(Entry* entry, unsigned s, size_t count) {
-  Stream& stream = entry->streams[s];
-  if (stream.samples.size() >= count) return;
-  UIC_CHECK(graph_ != nullptr);
-
-  RrOptions options;
-  options.linear_threshold = entry->linear_threshold;
-  if (entry->has_pass_prob) options.node_pass_prob = &entry->pass_prob;
-  options.kernel = entry->kernel;
-  options.sampling_plan = entry->plan.get();
-  RrSampler sampler(*graph_, options);
-
-  // Draw the whole extension into one arena, then publish the sample refs
-  // (arena buffers are never touched again, so the pointers stay stable
-  // for the cache's lifetime).
-  struct Meta {
-    size_t offset;
-    uint32_t size;
-    size_t edges;
-  };
-  const size_t need = count - stream.samples.size();
-  std::vector<Meta> metas;
-  metas.reserve(need);
-  std::vector<NodeId> nodes;
-  for (size_t i = 0; i < need; ++i) {
-    const size_t before = nodes.size();
-    const size_t edges = sampler.SampleAppend(stream.rng, &nodes);
-    metas.push_back(
-        {before, static_cast<uint32_t>(nodes.size() - before), edges});
-  }
-  sampled_sets_.fetch_add(need, std::memory_order_relaxed);
-  sampled_nodes_.fetch_add(nodes.size(), std::memory_order_relaxed);
-  uint64_t edges_total = 0;
-  for (const Meta& m : metas) edges_total += m.edges;
-  UIC_METRIC_COUNTER(rr_sets, "uic_rr_sets_sampled_total",
-                     "RR sets freshly sampled (cold path + cache fills).");
-  rr_sets.Add(need);
-  UIC_METRIC_COUNTER(rr_edges, "uic_rr_edges_examined_total",
-                     "Edges examined by the RR sampling kernels.");
-  rr_edges.Add(edges_total);
-  stream.arenas.push_back(std::move(nodes));
-  const NodeId* base = stream.arenas.back().data();
-  stream.samples.reserve(count);
-  for (const Meta& m : metas) {
-    stream.samples.push_back(Sample{base + m.offset, m.size, m.edges});
-  }
 }
 
 }  // namespace uic

@@ -5,11 +5,12 @@
 // stream's sample sequence is a pure function of (graph, sampling options,
 // seed, stream index) — see rr_collection.h. An `RrStreamCache` memoizes
 // those sequences: when an `RrCollection` is constructed with
-// `RrOptions::stream_cache` set, `GenerateUntil` *serves* samples from the
-// cache (extending it by actually sampling only past the high-water mark)
-// instead of re-drawing them. Because the served samples are byte-for-byte
-// what a cold collection would have drawn, every consumer — PRIMA's phase
-// loop, its regeneration pass, IMM, the Com-IC coin samplers — produces
+// `RrOptions::stream_cache` set, it reads its sets straight out of the
+// cache entry's `RrStream`s instead of owning streams of its own, and its
+// `GenerateUntil` extends those shared streams (sampling only past their
+// high-water marks). Because the shared streams hold byte-for-byte what a
+// cold collection would have drawn, every consumer — PRIMA's phase loop,
+// its regeneration pass, IMM, the Com-IC coin samplers — produces
 // bit-identical results warm or cold; the only difference is how many RR
 // sets are sampled from scratch.
 //
@@ -25,11 +26,15 @@
 // solver invocations; a SweepRunner drives solves sequentially. It is
 // therefore deliberately mutex-free and carries no thread-safety
 // capabilities (common/annotations.h): the only intra-solve concurrency
-// is EnsureSamples extending *distinct* streams under the ParallelFor
-// barrier, coordinated by the two lifetime counters below being atomic.
+// is one collection extending *distinct* streams of an entry under the
+// ParallelFor barrier, and the counters are updated after that barrier.
+//
+// Growth of any collection on an entry may reallocate the entry's stream
+// arrays, so a `RrCollection::Set()` span from a collection on the same
+// entry is valid only until that growth (rr_collection.h).
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -46,7 +51,7 @@ class RrStreamCache {
  public:
   RrStreamCache() = default;
 
-  // Not copyable: collections hold SetRefs into the cache's arenas.
+  // Not copyable: collections borrow the entries' streams by pointer.
   RrStreamCache(const RrStreamCache&) = delete;
   RrStreamCache& operator=(const RrStreamCache&) = delete;
 
@@ -54,15 +59,14 @@ class RrStreamCache {
   /// over the cache's lifetime (they survive Clear/Trim, so per-solve
   /// deltas stay meaningful); `entries` reflects the current contents.
   struct Stats {
-    size_t sampled_sets = 0;   ///< RR sets drawn from scratch into the cache
-    size_t sampled_nodes = 0;  ///< Σ |R| over those sets
-    size_t served_sets = 0;    ///< RR sets handed to collections (incl. repeats)
-    size_t entries = 0;        ///< distinct (seed, semantics) stream groups
+    size_t sampled_sets = 0;  ///< RR sets drawn from scratch into the cache
+    size_t served_sets = 0;   ///< RR sets handed to collections (incl. repeats)
+    size_t entries = 0;       ///< distinct (seed, semantics) stream groups
   };
   Stats stats() const;
 
   /// Drop every entry (collections serving from this cache must be
-  /// discarded first — their SetRefs alias the cache's arenas).
+  /// discarded first — they borrow the entries' streams).
   void Clear();
 
   /// Drop all but the `keep` most recently created node-pass-probability
@@ -78,47 +82,32 @@ class RrStreamCache {
  private:
   friend class RrCollection;
 
-  /// One memoized sample: nodes live in an arena owned by the stream.
-  struct Sample {
-    const NodeId* data;
-    uint32_t size;
-    size_t edges;  ///< in-edges examined while drawing it (EPT accounting)
-  };
-
-  /// One logical stream's materialized prefix.
-  struct Stream {
-    Rng rng;  ///< positioned after `samples.size()` draws
-    std::vector<std::vector<NodeId>> arenas;
-    std::vector<Sample> samples;
-  };
-
   /// Streams for one (seed, sampling semantics) group. The RESOLVED
   /// kernel is part of the key: the kernels draw different RNG sequences,
   /// so kScan and kSkip streams for the same seed are distinct sample
   /// sequences (kAuto and kSkip resolve identically and share an entry).
   struct Entry {
     uint64_t seed = 0;
-    bool linear_threshold = false;
-    bool has_pass_prob = false;
-    SamplingKernel kernel = SamplingKernel::kSkip;  ///< resolved, never kAuto
     std::vector<float> pass_prob;  ///< copied contents, exact-match keyed
-    std::vector<Stream> streams;   ///< kRrStreams
     /// Cache-owned plan the entry's samplers run on (null for kScan);
     /// shared across entries and built once per bound graph. Building it
-    /// in GetEntry — serially, before EnsureSamples fans out — is what
-    /// keeps the concurrent stream extensions free of shared mutation.
+    /// in GetEntry — serially, before growth fans out — is what keeps the
+    /// concurrent stream extensions free of shared mutation.
     std::shared_ptr<const SamplingPlan> plan;
+    /// What the entry's samplers run with: the linear-threshold flag, the
+    /// resolved kernel (never kAuto), and `pass_prob`/`plan` (borrowed
+    /// from this entry). Also the entry's key, with `seed`.
+    RrOptions sampling;
+    std::array<RrStream, kRrStreams> streams;
   };
 
   /// Bind to (or verify against) `graph`; the cache serves one graph.
   void BindGraph(const Graph& graph);
 
-  /// Find-or-create the entry for (seed, options-semantics).
+  /// Find-or-create the entry for (seed, options-semantics). Entries are
+  /// heap-allocated, so the pointer and its streams stay put until the
+  /// entry is dropped by Clear() or TrimPassProbEntries().
   Entry* GetEntry(uint64_t seed, const RrOptions& options);
-
-  /// Extend `entry`'s stream `s` until it holds at least `count` samples.
-  /// Safe to call concurrently for distinct streams of the same entry.
-  void EnsureSamples(Entry* entry, unsigned s, size_t count);
 
   const Graph* graph_ = nullptr;
   std::vector<std::unique_ptr<Entry>> entries_;
@@ -126,10 +115,9 @@ class RrStreamCache {
   /// entry that needs them (cleared with the entries on Clear()).
   std::shared_ptr<const SamplingPlan> ic_plan_;
   std::shared_ptr<const SamplingPlan> lt_plan_;
-  // Monotone lifetime counters; sampled_* are only ever touched under the
-  // ParallelFor barrier (atomics: distinct streams extend concurrently).
-  std::atomic<size_t> sampled_sets_{0};
-  std::atomic<size_t> sampled_nodes_{0};
+  // Monotone lifetime counters, advanced by RrCollection::GenerateUntil
+  // after its parallel stream extension.
+  size_t sampled_sets_ = 0;
   size_t served_sets_ = 0;
 };
 

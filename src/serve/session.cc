@@ -206,6 +206,16 @@ Result<Graph> BuildGraphFromSpec(const Json& body) {
           ? scale_field->AsDouble()
           : 0.3;
 
+  // The generators' own preconditions, checked here so a degenerate spec
+  // is a bad_request rather than a failed CHECK that ends the daemon.
+  if (network == "er" && nodes.value() < 2) {
+    return Status::InvalidArgument("network 'er' needs at least 2 nodes");
+  }
+  if (network == "pa" && nodes.value() < 6) {
+    return Status::InvalidArgument(
+        "network 'pa' needs at least 6 nodes (5 out-edges per node)");
+  }
+
   Graph graph;
   if (network == "er") {
     graph = GenerateErdosRenyi(static_cast<NodeId>(nodes.value()),

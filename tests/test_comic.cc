@@ -6,6 +6,7 @@
 #include "exp/configs.h"
 #include "graph/generators.h"
 #include "items/gap.h"
+#include "rrset/rr_stream_cache.h"
 
 namespace uic {
 namespace {
@@ -154,6 +155,45 @@ TEST(RrCim, SlowerThanRrSimPlusDueToForwardSimulation) {
   const AllocationResult cim = RrCim(g, gap, 10, 10, options, 14, 2);
   const AllocationResult sim_plus = RrSimPlus(g, gap, 10, 10, options, 14, 2);
   EXPECT_GT(cim.seconds, sim_plus.seconds * 0.8);
+}
+
+// Exact outputs of the coin-pool solvers on one fixed instance, cold and
+// through an RrStreamCache (twice: the second run replays the cached
+// streams). No golden transcript covers RR-SIM+ or RR-CIM, so these pins
+// are what holds their RR pools bit-identical across engine changes.
+using AllocationEntries = std::vector<std::pair<NodeId, ItemSet>>;
+
+const std::vector<NodeId> kPinnedSimPlusRanking = {36, 147, 265, 37, 48, 110};
+const AllocationEntries kPinnedSimPlusAllocation = {
+    {36, 3}, {147, 3}, {265, 3}, {37, 3}, {48, 1}, {110, 1}};
+constexpr size_t kPinnedSimPlusRrSets = 59514;
+const std::vector<NodeId> kPinnedCimRanking = {147, 36, 265, 37, 48, 110};
+const AllocationEntries kPinnedCimAllocation = {
+    {147, 3}, {36, 3}, {265, 3}, {37, 3}, {48, 1}, {110, 1}};
+constexpr size_t kPinnedCimRrSets = 66146;
+
+TEST(ComIcBaselinePins, ExactSeedsAndRrSetsColdAndWarm) {
+  Graph g = GenerateErdosRenyi(300, 1800, 7);
+  g.ApplyWeightedCascade();
+  const TwoItemGap gap = SymmetricGap(0.5, 0.84);
+  ComIcBaselineOptions cold;
+  cold.cim_forward_simulations = 50;
+  RrStreamCache cache;
+  ComIcBaselineOptions warm = cold;
+  warm.stream_cache = &cache;
+  for (const ComIcBaselineOptions* options : {&cold, &warm, &warm}) {
+    const bool cached = options->stream_cache != nullptr;
+    const AllocationResult sim = RrSimPlus(g, gap, 6, 4, *options, 8, 4);
+    EXPECT_EQ(sim.ranking, kPinnedSimPlusRanking) << "cached=" << cached;
+    EXPECT_EQ(sim.allocation.entries(), kPinnedSimPlusAllocation)
+        << "cached=" << cached;
+    EXPECT_EQ(sim.num_rr_sets, kPinnedSimPlusRrSets) << "cached=" << cached;
+    const AllocationResult cim = RrCim(g, gap, 6, 4, *options, 8, 4);
+    EXPECT_EQ(cim.ranking, kPinnedCimRanking) << "cached=" << cached;
+    EXPECT_EQ(cim.allocation.entries(), kPinnedCimAllocation)
+        << "cached=" << cached;
+    EXPECT_EQ(cim.num_rr_sets, kPinnedCimRrSets) << "cached=" << cached;
+  }
 }
 
 }  // namespace

@@ -427,6 +427,135 @@ TEST(RrStreamCacheTest, TrimDropsOldestCoinEntriesKeepsPlainOnes) {
   EXPECT_EQ(cache.stats().sampled_sets, sampled + 100);
 }
 
+TEST(RrStreamCacheTest, BorrowedStreamsSurviveGrowthByAnotherCollection) {
+  // A warm collection reads its sets out of the cache entry's streams. A
+  // second collection on the same entry then grows those streams far past
+  // the first one's size, which reallocates the per-stream arrays; the
+  // first collection must still see exactly the cold pool, so nothing may
+  // keep a raw pointer into a stream across growth.
+  Graph g = GoldenGraph();
+  RrStreamCache cache;
+  RrOptions warm_opt;
+  warm_opt.stream_cache = &cache;
+  RrCollection a(g, 77, 4, warm_opt);
+  a.GenerateUntil(500);
+  {
+    RrCollection b(g, 77, 4, warm_opt);
+    b.GenerateUntil(20000);
+  }
+  for (size_t size : {500ul, 1000ul}) {
+    a.GenerateUntil(size);
+    RrCollection cold(g, 77, 4);
+    cold.GenerateUntil(size);
+    EXPECT_EQ(PoolHash(a), PoolHash(cold)) << "size " << size;
+    ExpectIndexMatchesReference(a);
+    const SeedSelection got = NodeSelection(a, 20);
+    const SeedSelection want = NodeSelection(cold, 20);
+    EXPECT_EQ(got.seeds, want.seeds) << "size " << size;
+    EXPECT_EQ(got.coverage, want.coverage) << "size " << size;
+  }
+}
+
+// --- exact sampling totals --------------------------------------------
+//
+// TotalNodes() and TotalEdgesExamined() of three pools under both kernels,
+// pinned exactly, and the edge total re-derived independently: by the EPT
+// convention it is the sum of RrSampler::SampleAppend's return values over
+// the same stream grid (set g = sample g / kRrStreams of stream
+// g % kRrStreams, stream s drawn from Rng::Split(seed, s)).
+
+struct PinnedPool {
+  const char* name;
+  uint64_t seed;
+  size_t sets;
+  bool linear_threshold;
+  bool coins;  // node pass probability 0.6 everywhere
+  SamplingKernel kernel;
+  size_t total_nodes;
+  size_t edges_examined;
+};
+
+const PinnedPool kPinnedPools[] = {
+    {"ic", 42, 2000, false, false, SamplingKernel::kSkip, 19405, 118207},
+    {"lt", 5, 1500, true, false, SamplingKernel::kSkip, 26431, 161344},
+    {"coins", 3, 800, false, true, SamplingKernel::kSkip, 1175, 7095},
+    {"ic", 42, 2000, false, false, SamplingKernel::kScan, 19171, 117047},
+    {"lt", 5, 1500, true, false, SamplingKernel::kScan, 26162, 159766},
+    {"coins", 3, 800, false, true, SamplingKernel::kScan, 1230, 7459},
+};
+
+struct GridTotals {
+  size_t nodes = 0;
+  size_t edges = 0;
+  uint64_t hash = 0;
+};
+
+// Draws the pool's sets straight from the stream grid with one sampler,
+// summing sizes and SampleAppend's returns and hashing like PoolHash.
+GridTotals SampleGridDirectly(const Graph& g, uint64_t seed, size_t sets,
+                              const RrOptions& options) {
+  RrSampler sampler(g, options);
+  std::vector<Rng> rngs;
+  for (unsigned s = 0; s < kRrStreams; ++s) rngs.push_back(Rng::Split(seed, s));
+  GridTotals t;
+  t.hash = Fnv1a(0xcbf29ce484222325ULL, sets);
+  std::vector<NodeId> set;
+  for (size_t r = 0; r < sets; ++r) {
+    set.clear();
+    t.edges += sampler.SampleAppend(rngs[r % kRrStreams], &set);
+    t.nodes += set.size();
+    t.hash = Fnv1a(t.hash, set.size());
+    for (NodeId v : set) t.hash = Fnv1a(t.hash, v);
+  }
+  return t;
+}
+
+TEST(RrEngineTotals, PinnedAndEqualToSamplerReturnsOverTheGrid) {
+  Graph g = GoldenGraph();
+  const std::vector<float> coins(g.num_nodes(), 0.6f);
+  for (const PinnedPool& p : kPinnedPools) {
+    const bool scan = p.kernel == SamplingKernel::kScan;
+    RrOptions opt;
+    opt.kernel = p.kernel;
+    opt.linear_threshold = p.linear_threshold;
+    if (p.coins) opt.node_pass_prob = &coins;
+    RrCollection pool(g, p.seed, 4, opt);
+    pool.GenerateUntil(p.sets / 3);
+    pool.GenerateUntil(p.sets);
+    EXPECT_EQ(pool.TotalNodes(), p.total_nodes) << p.name << " scan=" << scan;
+    EXPECT_EQ(pool.TotalEdgesExamined(), p.edges_examined)
+        << p.name << " scan=" << scan;
+
+    const GridTotals direct = SampleGridDirectly(g, p.seed, p.sets, opt);
+    EXPECT_EQ(direct.hash, PoolHash(pool)) << p.name << " scan=" << scan;
+    EXPECT_EQ(direct.nodes, pool.TotalNodes()) << p.name << " scan=" << scan;
+    EXPECT_EQ(direct.edges, pool.TotalEdgesExamined())
+        << p.name << " scan=" << scan;
+  }
+}
+
+TEST(RrEngineTotals, WarmTotalsEqualColdAfterClear) {
+  // A warm collection that Clears and regrows continues its streams where
+  // it stopped; its totals count only the sets it now holds.
+  Graph g = GoldenGraph();
+  RrStreamCache cache;
+  RrOptions warm_opt;
+  warm_opt.stream_cache = &cache;
+  RrCollection warm(g, 42, 4, warm_opt);
+  RrCollection cold(g, 42, 4);
+  for (RrCollection* pool : {&warm, &cold}) {
+    pool->GenerateUntil(700);
+    pool->Clear();
+    EXPECT_EQ(pool->TotalNodes(), 0u);
+    EXPECT_EQ(pool->TotalEdgesExamined(), 0u);
+    pool->GenerateUntil(1300);
+    ExpectIndexMatchesReference(*pool);
+  }
+  EXPECT_EQ(PoolHash(warm), PoolHash(cold));
+  EXPECT_EQ(warm.TotalNodes(), cold.TotalNodes());
+  EXPECT_EQ(warm.TotalEdgesExamined(), cold.TotalEdgesExamined());
+}
+
 // --- run-to-run determinism -------------------------------------------
 
 TEST(RrEngineDeterminism, PoolIsByteIdenticalAcrossRuns) {

@@ -717,6 +717,36 @@ void ExpectStillServes(Server& server) {
   EXPECT_NE(solve.find("\"ok\":true"), std::string::npos) << solve;
 }
 
+TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
+  // Each of these once ended the daemon: the first two in a generator
+  // CHECK, the third in a bad_alloc from reserving for edges the graph
+  // cannot hold. Now each gets its reply and the daemon keeps serving.
+  struct Case {
+    const char* request;
+    const char* want;
+  };
+  const Case kCases[] = {
+      {"{\"id\":40,\"verb\":\"load_graph\",\"name\":\"g1\",\"network\":\"er\","
+       "\"nodes\":1}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":41,\"verb\":\"load_graph\",\"name\":\"g5\",\"network\":\"pa\","
+       "\"nodes\":5}",
+       "\"code\":\"bad_request\""},
+      // Over-asked edges load the complete 10-node graph.
+      {"{\"id\":42,\"verb\":\"load_graph\",\"name\":\"g10\",\"network\":\"er\","
+       "\"nodes\":10,\"edges\":4000000000000}",
+       "\"edges\":90"},
+  };
+  Server server(GoldenOptions());
+  LoadFixtures(server);
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.request);
+    const std::string response = server.HandleLine(c.request);
+    EXPECT_NE(response.find(c.want), std::string::npos) << response;
+    ExpectStillServes(server);
+  }
+}
+
 TEST_F(FailpointServer, EveryInjectedFailureYieldsATypedErrorThenRecovers) {
   struct Case {
     const char* site;
