@@ -31,12 +31,10 @@
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/serialization.h"
-#include "exp/configs.h"
 #include "exp/flags.h"
-#include "exp/networks.h"
+#include "exp/specs.h"
 #include "exp/suite.h"
 #include "exp/sweep.h"
-#include "graph/generators.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/registry.h"
@@ -123,87 +121,42 @@ void InstallSweepSignalHandlers() {
   sigaction(SIGTERM, &action, nullptr);
 }
 
-Result<Graph> BuildNetwork(const Flags& flags) {
-  const double p = flags.GetDouble("p", 0.0);
-  const std::string path = flags.GetString("graph");
-  if (!path.empty()) {
-    Result<Graph> loaded = LoadGraph(path);
-    if (loaded.ok() && p > 0.0) loaded.value().ApplyConstantProbability(p);
-    return loaded;
-  }
-
-  const std::string name = flags.GetString("network", "douban-movie");
-  const double scale = flags.GetDouble("scale", 0.3);
-  const uint64_t seed = static_cast<uint64_t>(
-      flags.GetInt("net-seed", 20190630));
-  const long nodes_flag = flags.GetInt("nodes", 2000);
-  if (nodes_flag <= 0 || nodes_flag > UINT32_MAX) {
-    return Status::InvalidArgument("--nodes must be in [1, 2^32)");
-  }
-  const NodeId nodes = static_cast<NodeId>(nodes_flag);
-  const long edges_flag = flags.GetInt("edges", 6 * nodes_flag);
-  if (edges_flag < 0) {
-    return Status::InvalidArgument("--edges must be non-negative");
-  }
-  const size_t edges = static_cast<size_t>(edges_flag);
-
-  Graph graph;
-  if (name == "er") {
-    graph = GenerateErdosRenyi(nodes, edges, seed);
-    graph.ApplyWeightedCascade();
-  } else if (name == "pa") {
-    graph = GeneratePreferentialAttachment(nodes, /*out_per_node=*/5,
-                                           /*undirected=*/false, seed);
-    graph.ApplyWeightedCascade();
-  } else if (name == "flixster") {
-    graph = MakeFlixsterLike(seed, scale);
-  } else if (name == "douban-book") {
-    graph = MakeDoubanBookLike(seed, scale);
-  } else if (name == "douban-movie") {
-    graph = MakeDoubanMovieLike(seed, scale);
-  } else if (name == "twitter") {
-    graph = MakeTwitterLike(seed, scale);
-  } else if (name == "orkut") {
-    graph = MakeOrkutLike(seed, scale);
-  } else {
-    return Status::InvalidArgument("unknown --network '" + name + "'");
-  }
-  if (p > 0.0) graph.ApplyConstantProbability(p);
-  return graph;
+/// The network flags, mapped onto exp/specs.h (which owns the roster, the
+/// defaults and the limits).
+Result<Graph> BuildNetworkFromFlags(const Flags& flags) {
+  NetworkSpec spec;
+  spec.path = flags.GetString("graph");
+  spec.network = flags.GetString("network", spec.network);
+  spec.scale = flags.GetDouble("scale", spec.scale);
+  spec.seed = static_cast<uint64_t>(
+      flags.GetInt("net-seed", static_cast<long>(spec.seed)));
+  spec.nodes = flags.GetInt("nodes", spec.nodes);
+  if (flags.Has("edges")) spec.edges = flags.GetInt("edges", 0);
+  spec.p = flags.GetDouble("p", spec.p);
+  return BuildNetwork(spec);
 }
 
-Result<std::optional<ItemParams>> BuildParams(const Flags& flags,
-                                              ItemId items) {
-  const std::string path = flags.GetString("params");
-  if (!path.empty()) {
-    Result<ItemParams> loaded = LoadItemParams(path);
-    if (!loaded.ok()) return loaded.status();
-    return std::optional<ItemParams>(loaded.MoveValue());
+/// The item flags, mapped onto exp/specs.h; `--config none` (no params,
+/// so no welfare evaluation) is uic_run's own.
+Result<std::optional<ItemParams>> BuildParamsFromFlags(const Flags& flags,
+                                                       long items) {
+  ConfigSpec spec;
+  spec.path = flags.GetString("params");
+  spec.config = flags.GetString("config", spec.config);
+  if (spec.path.empty() && spec.config == "none") {
+    // --items then only sizes the budget vector, under the same limit.
+    const Status st = CheckItemCount(items);
+    if (!st.ok()) return st;
+    return std::optional<ItemParams>();
   }
-  const std::string config = flags.GetString("config", "config12");
+  spec.items = items;
   // Deliberately NOT the solver --seed: sweeping solver seeds must not
   // silently change the problem instance itself.
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("param-seed", 8));
-  if (config == "config12") return std::optional<ItemParams>(MakeTwoItemConfig12());
-  if (config == "config34") return std::optional<ItemParams>(MakeTwoItemConfig34());
-  if (config == "additive") {
-    return std::optional<ItemParams>(MakeAdditiveConfig5(items));
-  }
-  if (config == "cone-max") {
-    return std::optional<ItemParams>(MakeConeConfig67(items, 0));
-  }
-  if (config == "cone-min") {
-    return std::optional<ItemParams>(
-        MakeConeConfig67(items, static_cast<ItemId>(items - 1)));
-  }
-  if (config == "levelwise") {
-    return std::optional<ItemParams>(MakeLevelwiseConfig8(items, seed));
-  }
-  if (config == "real") {
-    return std::optional<ItemParams>(MakeRealPlaystationParams());
-  }
-  if (config == "none") return std::optional<ItemParams>();
-  return Status::InvalidArgument("unknown --config '" + config + "'");
+  spec.seed = static_cast<uint64_t>(
+      flags.GetInt("param-seed", static_cast<long>(spec.seed)));
+  Result<ItemParams> built = BuildConfig(spec);
+  if (!built.ok()) return built.status();
+  return std::optional<ItemParams>(built.MoveValue());
 }
 
 /// Comma-separated algorithm list for sweep mode; falls back to
@@ -366,7 +319,7 @@ int Run(int argc, char** argv) {
   }
 
   // --- network ----------------------------------------------------------
-  Result<Graph> graph = BuildNetwork(flags);
+  Result<Graph> graph = BuildNetworkFromFlags(flags);
   if (!graph.ok()) {
     std::fprintf(stderr, "uic_run: %s\n", graph.status().ToString().c_str());
     return 1;
@@ -386,19 +339,20 @@ int Run(int argc, char** argv) {
     budgets = parsed.MoveValue();
   }
 
-  ItemId items = static_cast<ItemId>(flags.GetInt("items", 2));
-  if (!budgets.empty()) items = static_cast<ItemId>(budgets.size());
+  const long items = budgets.empty()
+                         ? flags.GetInt("items", ConfigSpec().items)
+                         : static_cast<long>(budgets.size());
 
-  Result<std::optional<ItemParams>> params = BuildParams(flags, items);
+  Result<std::optional<ItemParams>> params = BuildParamsFromFlags(flags, items);
   if (!params.ok()) {
     std::fprintf(stderr, "uic_run: %s\n", params.status().ToString().c_str());
     return 1;
   }
   if (budgets.empty()) {
     // Uniform budgets sized to the configuration (or --items for 'none').
-    const ItemId n = params.value().has_value()
+    const size_t n = params.value().has_value()
                          ? params.value()->num_items()
-                         : items;
+                         : static_cast<size_t>(items);
     budgets.assign(n, static_cast<uint32_t>(flags.GetInt("budget", 10)));
   }
 

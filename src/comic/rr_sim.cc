@@ -28,8 +28,7 @@ AllocationResult SelectWithNodeCoins(const Graph& graph,
                                      const std::vector<float>& pass_prob,
                                      uint32_t budget1,
                                      const std::vector<NodeId>& seeds2,
-                                     const ComIcBaselineOptions& options,
-                                     uint64_t seed, unsigned workers) {
+                                     const SolverOptions& options) {
   AllocationResult result;
   const double n = static_cast<double>(graph.num_nodes());
   const double eps = options.eps;
@@ -38,8 +37,8 @@ AllocationResult SelectWithNodeCoins(const Graph& graph,
 
   RrOptions rr_options;
   rr_options.node_pass_prob = &pass_prob;
-  rr_options.stream_cache = options.stream_cache;
-  RrCollection pool(graph, seed, workers, rr_options);
+  rr_options.stream_cache = options.rr_options.stream_cache;
+  RrCollection pool(graph, options.seed, options.workers, rr_options);
 
   // Doubling phase to find a lower bound LB on the optimal coverage.
   double lb = 1.0;
@@ -62,7 +61,7 @@ AllocationResult SelectWithNodeCoins(const Graph& graph,
   // Final pass on the same engine instance under a fresh seed (the bound
   // requires sets sampled after θ was fixed).
   const size_t doubling_rr_sets = pool.size();
-  pool.Reset(seed ^ 0xc1a0u);
+  pool.Reset(options.seed ^ 0xc1a0u);
   pool.GenerateUntil(
       std::max<size_t>(1, static_cast<size_t>(std::ceil(theta))));
   SeedSelection final_sel = NodeSelection(pool, budget1);
@@ -80,14 +79,13 @@ AllocationResult SelectWithNodeCoins(const Graph& graph,
 
 AllocationResult RrSimPlus(const Graph& graph, const TwoItemGap& gap,
                            uint32_t budget1, uint32_t budget2,
-                           const ComIcBaselineOptions& options, uint64_t seed,
-                           unsigned workers) {
+                           const SolverOptions& options) {
   WallTimer timer;
   // Item i2's seeds by plain IMM (warm-started when a cache is attached).
   RrOptions imm_rr;
-  imm_rr.stream_cache = options.stream_cache;
-  ImResult imm2 = Imm(graph, budget2, options.eps, options.ell, seed ^ 0xb2u,
-                      workers, {}, imm_rr);
+  imm_rr.stream_cache = options.rr_options.stream_cache;
+  ImResult imm2 = Imm(graph, budget2, options.eps, options.ell,
+                      options.seed ^ 0xb2u, options.workers, {}, imm_rr);
   std::vector<NodeId> seeds2(imm2.seeds.begin(),
                              imm2.seeds.begin() +
                                  std::min<size_t>(budget2, imm2.seeds.size()));
@@ -97,8 +95,8 @@ AllocationResult RrSimPlus(const Graph& graph, const TwoItemGap& gap,
                           static_cast<float>(gap.q1_none));
   for (NodeId v : seeds2) pass[v] = static_cast<float>(gap.q1_given2);
 
-  AllocationResult result = SelectWithNodeCoins(
-      graph, pass, budget1, seeds2, options, seed, workers);
+  AllocationResult result =
+      SelectWithNodeCoins(graph, pass, budget1, seeds2, options);
   result.num_rr_sets += imm2.num_rr_sets;
   result.seconds = timer.ElapsedSeconds();
   return result;
@@ -106,13 +104,12 @@ AllocationResult RrSimPlus(const Graph& graph, const TwoItemGap& gap,
 
 AllocationResult RrCim(const Graph& graph, const TwoItemGap& gap,
                        uint32_t budget1, uint32_t budget2,
-                       const ComIcBaselineOptions& options, uint64_t seed,
-                       unsigned workers) {
+                       const SolverOptions& options) {
   WallTimer timer;
   RrOptions imm_rr;
-  imm_rr.stream_cache = options.stream_cache;
-  ImResult imm2 = Imm(graph, budget2, options.eps, options.ell, seed ^ 0xb2u,
-                      workers, {}, imm_rr);
+  imm_rr.stream_cache = options.rr_options.stream_cache;
+  ImResult imm2 = Imm(graph, budget2, options.eps, options.ell,
+                      options.seed ^ 0xb2u, options.workers, {}, imm_rr);
   std::vector<NodeId> seeds2(imm2.seeds.begin(),
                              imm2.seeds.begin() +
                                  std::min<size_t>(budget2, imm2.seeds.size()));
@@ -124,16 +121,18 @@ AllocationResult RrCim(const Graph& graph, const TwoItemGap& gap,
   // uint32 regardless of the worker count (streams may run concurrently,
   // so they cannot share a slot without synchronization); at the repo's
   // laptop-scale stand-ins (≤ ~40K nodes, networks.h) that is a few MB.
-  const size_t sims = std::max<size_t>(1, options.cim_forward_simulations);
+  const size_t sims =
+      std::max<size_t>(1, options.comic.cim_forward_simulations);
   std::vector<std::vector<uint32_t>> counts(
       kRngStreams, std::vector<uint32_t>(graph.num_nodes(), 0));
-  ParallelForStreams(sims, workers, [&](unsigned s, size_t begin, size_t end) {
-    ComIcSimulator sim(graph, gap);
-    Rng rng = Rng::Split(seed ^ 0xf0f0u, s);
-    for (size_t i = begin; i < end; ++i) {
-      sim.Run({}, seeds2, rng, &counts[s]);
-    }
-  });
+  ParallelForStreams(
+      sims, options.workers, [&](unsigned s, size_t begin, size_t end) {
+        ComIcSimulator sim(graph, gap);
+        Rng rng = Rng::Split(options.seed ^ 0xf0f0u, s);
+        for (size_t i = begin; i < end; ++i) {
+          sim.Run({}, seeds2, rng, &counts[s]);
+        }
+      });
   std::vector<float> pass(graph.num_nodes(), 0.0f);
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     uint64_t c = 0;
@@ -143,8 +142,8 @@ AllocationResult RrCim(const Graph& graph, const TwoItemGap& gap,
                                  gap.q1_given2 * p2);
   }
 
-  AllocationResult result = SelectWithNodeCoins(
-      graph, pass, budget1, seeds2, options, seed, workers);
+  AllocationResult result =
+      SelectWithNodeCoins(graph, pass, budget1, seeds2, options);
   result.num_rr_sets += imm2.num_rr_sets;
   result.seconds = timer.ElapsedSeconds();
   return result;

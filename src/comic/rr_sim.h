@@ -13,42 +13,41 @@
 //
 // Faithful to the originals, the sample size is governed by the more
 // conservative TIM-style bound (they predate IMM's refined martingale
-// bound), which is why they generate significantly more RR sets than
-// IMM-based algorithms (Fig. 6). Both support exactly two items; extending
-// Com-IC beyond two items needs exponentially many NLA parameters, which
-// is precisely the limitation bundleGRD removes.
+// bound; rr_sim.cc keeps that bound as LambdaTim), which is why they
+// generate significantly more RR sets than IMM-based algorithms (Fig. 6).
+// Both support exactly two items; extending Com-IC beyond two items needs
+// exponentially many NLA parameters, which is precisely the limitation
+// bundleGRD removes.
+//
+// Both take the solver options themselves (solver/problem.h), so the
+// rr-sim+ and rr-cim rows of the solver table pass them through as they
+// are. The GAP is a separate argument: the rows derive it from the
+// problem's ItemParams, while tests feed synthetic GAPs no ItemParams
+// produces.
 #pragma once
 
 #include <cstdint>
 
 #include "core/bundle_grd.h"
 #include "items/gap.h"
+#include "solver/problem.h"
 
 namespace uic {
 
-/// Tuning knobs shared by the Com-IC baselines.
-struct ComIcBaselineOptions {
-  double eps = 0.5;
-  double ell = 1.0;
-  /// Forward Monte-Carlo simulations used by RR-CIM to estimate per-node
-  /// i2-adoption probabilities.
-  size_t cim_forward_simulations = 200;
-  /// Optional warm-start cache for every RR pool these baselines build
-  /// (the i2 IMM pool and the node-coin pools); see rr_stream_cache.h.
-  /// Results are bit-identical with or without it.
-  RrStreamCache* stream_cache = nullptr;
-};
-
 /// \brief RR-SIM+: item i1 seeds via self-influence RR sets (i2 by IMM).
+///
+/// Reads eps, ell, seed and workers from `options`, and from
+/// `options.rr_options` only `stream_cache`: the warm-start cache for every
+/// RR pool these baselines build (the i2 IMM pool and the node-coin pools;
+/// see rr_stream_cache.h). Results are bit-identical with or without it.
 AllocationResult RrSimPlus(const Graph& graph, const TwoItemGap& gap,
                            uint32_t budget1, uint32_t budget2,
-                           const ComIcBaselineOptions& options, uint64_t seed,
-                           unsigned workers = 0);
+                           const SolverOptions& options);
 
-/// \brief RR-CIM: complementary influence maximization for item i1.
+/// \brief RR-CIM: complementary influence maximization for item i1. Reads
+/// what RrSimPlus reads, plus `options.comic.cim_forward_simulations`.
 AllocationResult RrCim(const Graph& graph, const TwoItemGap& gap,
                        uint32_t budget1, uint32_t budget2,
-                       const ComIcBaselineOptions& options, uint64_t seed,
-                       unsigned workers = 0);
+                       const SolverOptions& options);
 
 }  // namespace uic

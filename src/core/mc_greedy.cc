@@ -10,13 +10,13 @@ namespace uic {
 AllocationResult McGreedyAllocate(const Graph& graph,
                                   const std::vector<uint32_t>& budgets,
                                   const ItemParams& params,
-                                  const McGreedyOptions& options) {
+                                  const SolverOptions& options) {
   WallTimer timer;
   AllocationResult result;
   const ItemId num_items = static_cast<ItemId>(budgets.size());
   UIC_CHECK_EQ(num_items, params.num_items());
 
-  std::vector<NodeId> candidates = options.candidates;
+  std::vector<NodeId> candidates = options.mc_greedy.candidates;
   if (candidates.empty()) {
     candidates.resize(graph.num_nodes());
     for (NodeId v = 0; v < graph.num_nodes(); ++v) candidates[v] = v;
@@ -24,8 +24,8 @@ AllocationResult McGreedyAllocate(const Graph& graph,
 
   auto eval = [&](const Allocation& alloc) {
     return EstimateWelfare(graph, alloc, params,
-                           options.simulations_per_eval, options.seed,
-                           options.workers)
+                           options.mc_greedy.simulations_per_eval,
+                           options.seed, options.workers)
         .welfare;
   };
 

@@ -12,6 +12,9 @@
 // submodular nor supermodular (Theorem 1) — complementary items make a
 // pair's gain *grow* once its partner is allocated, which breaks the
 // lazy-heap invariant and yields provably wrong picks.
+//
+// Takes the solver options themselves (solver/problem.h), so the
+// mc-greedy row of the solver table passes them through as they are.
 #pragma once
 
 #include <cstdint>
@@ -20,23 +23,17 @@
 #include "core/bundle_grd.h"
 #include "diffusion/uic_model.h"
 #include "items/params.h"
+#include "solver/problem.h"
 
 namespace uic {
 
-struct McGreedyOptions {
-  size_t simulations_per_eval = 200;  ///< MC samples per welfare estimate
-  uint64_t seed = 1;
-  unsigned workers = 0;
-  /// Restrict candidate seed nodes (empty = all nodes). Pre-filtering to,
-  /// say, the top-degree nodes makes the greedy usable on mid-size graphs.
-  std::vector<NodeId> candidates;
-};
-
-/// \brief Lazy (CELF) greedy over node-item pairs under budget vector
-/// `budgets`. Returns the allocation and its estimated welfare trace.
+/// \brief Plain greedy over node-item pairs under budget vector `budgets`,
+/// fully re-evaluating every candidate pair each round. Reads `seed`,
+/// `workers` and `mc_greedy` (simulations per welfare estimate, candidate
+/// nodes) from `options`.
 AllocationResult McGreedyAllocate(const Graph& graph,
                                   const std::vector<uint32_t>& budgets,
                                   const ItemParams& params,
-                                  const McGreedyOptions& options = {});
+                                  const SolverOptions& options = {});
 
 }  // namespace uic

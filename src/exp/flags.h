@@ -3,19 +3,19 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-
-#include "common/check.h"
 
 namespace uic {
 
 /// \brief Parses "--name value" pairs from argv.
 ///
-/// Malformed or out-of-range numeric values abort with a message naming the
-/// offending flag instead of silently parsing to 0 (the `atol`/`atof`
-/// behaviour this class originally had).
+/// A malformed, out-of-range or missing value is a usage error: it prints
+/// the offending flag to stderr and exits with status 2, the code every
+/// binary here documents for usage errors, instead of silently parsing to
+/// 0 (the `atol`/`atof` behaviour this class originally had).
 class Flags {
  public:
   Flags(int argc, char** argv) : argc_(argc), argv_(argv) {}
@@ -26,12 +26,12 @@ class Flags {
     errno = 0;
     char* end = nullptr;
     const double parsed = std::strtod(v, &end);
-    UIC_CHECK_MSG(end != v && *end == '\0', "flag --%s: '%s' is not a number",
-                  name.c_str(), v);
+    if (end == v || *end != '\0') UsageError(name, v, "is not a number");
     // ERANGE with ±HUGE_VAL is overflow; ERANGE on underflow still returns a
     // usable (sub)normal value, so accept it.
-    UIC_CHECK_MSG(errno != ERANGE || (parsed != HUGE_VAL && parsed != -HUGE_VAL),
-                  "flag --%s: '%s' is out of double range", name.c_str(), v);
+    if (errno == ERANGE && (parsed == HUGE_VAL || parsed == -HUGE_VAL)) {
+      UsageError(name, v, "is out of double range");
+    }
     return parsed;
   }
 
@@ -41,10 +41,8 @@ class Flags {
     errno = 0;
     char* end = nullptr;
     const long parsed = std::strtol(v, &end, 10);
-    UIC_CHECK_MSG(end != v && *end == '\0',
-                  "flag --%s: '%s' is not an integer", name.c_str(), v);
-    UIC_CHECK_MSG(errno != ERANGE, "flag --%s: '%s' is out of long range",
-                  name.c_str(), v);
+    if (end == v || *end != '\0') UsageError(name, v, "is not an integer");
+    if (errno == ERANGE) UsageError(name, v, "is out of long range");
     return parsed;
   }
 
@@ -61,6 +59,9 @@ class Flags {
     return def;
   }
 
+  /// True when `--name` is given with a value.
+  bool Has(const std::string& name) const { return Find(name) != nullptr; }
+
  private:
   /// Accepts both "--name value" and "--name=value".
   const char* Find(const std::string& name) const {
@@ -68,8 +69,7 @@ class Flags {
     const std::string flag_eq = flag + "=";
     for (int i = 1; i < argc_; ++i) {
       if (flag == argv_[i]) {
-        UIC_CHECK_MSG(i + 1 < argc_, "flag --%s expects a value",
-                      name.c_str());
+        if (i + 1 >= argc_) UsageError(name, nullptr, "expects a value");
         return argv_[i + 1];
       }
       if (std::strncmp(argv_[i], flag_eq.c_str(), flag_eq.size()) == 0) {
@@ -77,6 +77,17 @@ class Flags {
       }
     }
     return nullptr;
+  }
+
+  /// Names the flag and its value on stderr, then exits 2.
+  [[noreturn]] static void UsageError(const std::string& name,
+                                      const char* value, const char* what) {
+    if (value != nullptr) {
+      std::fprintf(stderr, "flag --%s: '%s' %s\n", name.c_str(), value, what);
+    } else {
+      std::fprintf(stderr, "flag --%s %s\n", name.c_str(), what);
+    }
+    std::exit(2);
   }
 
   int argc_;

@@ -60,6 +60,46 @@ Result<Request> ParseRequest(const std::string& line) {
   return request;
 }
 
+std::string GetStringField(const Json& body, const char* key,
+                           const std::string& def) {
+  const Json* field = body.Find(key);
+  if (field == nullptr || !field->is_string()) return def;
+  return field->AsString();
+}
+
+Result<long long> GetIntField(const Json& body, const char* key,
+                              long long def, long long lo, long long hi) {
+  const Json* field = body.Find(key);
+  if (field == nullptr) return def;
+  if (!field->is_number()) {
+    return Status::InvalidArgument(std::string("'") + key +
+                                   "' must be a number");
+  }
+  const long long v = field->AsInt();
+  if (field->AsDouble() != static_cast<double>(v) || v < lo || v > hi) {
+    std::string message = std::string("'") + key + "' must be an integer";
+    if (lo != LLONG_MIN || hi != LLONG_MAX) {
+      message += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    }
+    return Status::InvalidArgument(message);
+  }
+  return v;
+}
+
+Result<double> GetNumberField(const Json& body, const char* key, double def,
+                              double lo, double hi) {
+  const Json* field = body.Find(key);
+  if (field == nullptr) return def;
+  if (!field->is_number() || field->AsDouble() < lo || field->AsDouble() > hi) {
+    std::string message = std::string("'") + key + "' must be a number";
+    if (lo != -HUGE_VAL || hi != HUGE_VAL) {
+      message += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    }
+    return Status::InvalidArgument(message);
+  }
+  return field->AsDouble();
+}
+
 std::string OkResponse(const Json& id, const Json& result,
                        const Json& serve_info) {
   Json response = Json::Object();

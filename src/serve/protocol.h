@@ -21,6 +21,8 @@
 // header is only the envelope: parsing, error codes, response framing.
 #pragma once
 
+#include <climits>
+#include <cmath>
 #include <string>
 
 #include "common/status.h"
@@ -65,6 +67,24 @@ struct Request {
 /// non-object document, a missing/empty `verb`, or a negative/non-number
 /// `deadline_ms`.
 [[nodiscard]] Result<Request> ParseRequest(const std::string& line);
+
+// --- request-body fields ----------------------------------------------
+// Each reader returns `def` when `key` is absent.
+
+/// A string field; `def` for a value of any other type too.
+std::string GetStringField(const Json& body, const char* key,
+                           const std::string& def = "");
+
+/// An integer field in [lo, hi]; InvalidArgument for anything else.
+[[nodiscard]] Result<long long> GetIntField(const Json& body, const char* key,
+                                            long long def,
+                                            long long lo = LLONG_MIN,
+                                            long long hi = LLONG_MAX);
+
+/// A number field in [lo, hi]; InvalidArgument for anything else.
+[[nodiscard]] Result<double> GetNumberField(const Json& body, const char* key,
+                                            double def, double lo = -HUGE_VAL,
+                                            double hi = HUGE_VAL);
 
 /// `{"id":...,"ok":true,"result":...}` with an optional trailing `serve`
 /// section (pass a null Json to omit it). Returns the line WITHOUT a

@@ -111,44 +111,6 @@ void AccountRequest(const std::string& verb, bool ok) {
   AccountVerb(verb);
 }
 
-std::string GetStringField(const Json& body, const char* key,
-                           const std::string& def = "") {
-  const Json* field = body.Find(key);
-  if (field == nullptr || !field->is_string()) return def;
-  return field->AsString();
-}
-
-Result<long long> GetIntField(const Json& body, const char* key,
-                              long long def, long long lo, long long hi) {
-  const Json* field = body.Find(key);
-  if (field == nullptr) return def;
-  if (!field->is_number()) {
-    return Status::InvalidArgument(std::string("'") + key +
-                                   "' must be a number");
-  }
-  const long long v = field->AsInt();
-  if (field->AsDouble() != static_cast<double>(v) || v < lo || v > hi) {
-    return Status::InvalidArgument(
-        std::string("'") + key + "' must be an integer in [" +
-        std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return v;
-}
-
-Result<double> GetNumberField(const Json& body, const char* key, double def,
-                              double lo, double hi) {
-  const Json* field = body.Find(key);
-  if (field == nullptr) return def;
-  if (!field->is_number() || field->AsDouble() < lo ||
-      field->AsDouble() > hi) {
-    return Status::InvalidArgument(std::string("'") + key +
-                                   "' must be a number in [" +
-                                   std::to_string(lo) + ", " +
-                                   std::to_string(hi) + "]");
-  }
-  return field->AsDouble();
-}
-
 Json AllocationToJson(const Allocation& allocation) {
   Json out = Json::Array();
   for (const auto& [node, items] : allocation.entries()) {

@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "core/serialization.h"
-#include "exp/configs.h"
-#include "exp/networks.h"
-#include "graph/generators.h"
+#include "exp/specs.h"
+#include "serve/protocol.h"
 
 namespace uic {
 namespace serve {
@@ -140,138 +138,52 @@ Json SessionRegistry::Describe() const {
   return out;
 }
 
-namespace {
-
-/// Integer field with range validation; `def` when absent.
-Result<long long> GetIntField(const Json& body, const char* key,
-                              long long def, long long lo, long long hi) {
-  const Json* field = body.Find(key);
-  if (field == nullptr) return def;
-  if (!field->is_number()) {
-    return Status::InvalidArgument(std::string("'") + key +
-                                   "' must be a number");
-  }
-  const long long v = field->AsInt();
-  if (field->AsDouble() != static_cast<double>(v) || v < lo || v > hi) {
-    return Status::InvalidArgument(
-        std::string("'") + key + "' must be an integer in [" +
-        std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return v;
-}
-
-std::string GetStringField(const Json& body, const char* key,
-                           const std::string& def = "") {
-  const Json* field = body.Find(key);
-  if (field == nullptr || !field->is_string()) return def;
-  return field->AsString();
-}
-
-}  // namespace
-
 Result<Graph> BuildGraphFromSpec(const Json& body) {
-  const Json* p_field = body.Find("p");
-  if (p_field != nullptr &&
-      (!p_field->is_number() || p_field->AsDouble() < 0.0 ||
-       p_field->AsDouble() > 1.0)) {
-    return Status::InvalidArgument("'p' must be a probability in [0, 1]");
-  }
-  const double p = p_field != nullptr ? p_field->AsDouble() : 0.0;
-
-  const std::string path = GetStringField(body, "path");
-  if (!path.empty()) {
-    Result<Graph> loaded = LoadGraph(path);
-    if (loaded.ok() && p > 0.0) loaded.value().ApplyConstantProbability(p);
-    return loaded;
-  }
-
-  const std::string network = GetStringField(body, "network");
-  if (network.empty()) {
+  NetworkSpec spec;
+  spec.path = GetStringField(body, "path");
+  spec.network = GetStringField(body, "network");
+  if (spec.path.empty() && spec.network.empty()) {
     return Status::InvalidArgument(
         "load_graph needs either 'path' or a 'network' generator spec");
   }
-  Result<long long> nodes = GetIntField(body, "nodes", 2000, 1, UINT32_MAX);
+  // Only the JSON types are checked here; BuildNetwork owns the limits.
+  Result<long long> nodes = GetIntField(body, "nodes", spec.nodes);
   if (!nodes.ok()) return nodes.status();
-  Result<long long> edges =
-      GetIntField(body, "edges", 6 * nodes.value(), 0, INT64_MAX);
-  if (!edges.ok()) return edges.status();
-  Result<long long> net_seed =
-      GetIntField(body, "net_seed", 20190630, 0, INT64_MAX);
+  spec.nodes = nodes.value();
+  if (body.Find("edges") != nullptr) {
+    Result<long long> edges = GetIntField(body, "edges", 0);
+    if (!edges.ok()) return edges.status();
+    spec.edges = edges.value();
+  }
+  Result<long long> net_seed = GetIntField(
+      body, "net_seed", static_cast<long long>(spec.seed), 0, INT64_MAX);
   if (!net_seed.ok()) return net_seed.status();
-  const uint64_t seed = static_cast<uint64_t>(net_seed.value());
-  const Json* scale_field = body.Find("scale");
-  const double scale =
-      scale_field != nullptr && scale_field->is_number() &&
-              scale_field->AsDouble() > 0.0
-          ? scale_field->AsDouble()
-          : 0.3;
-
-  // The generators' own preconditions, checked here so a degenerate spec
-  // is a bad_request rather than a failed CHECK that ends the daemon.
-  if (network == "er" && nodes.value() < 2) {
-    return Status::InvalidArgument("network 'er' needs at least 2 nodes");
-  }
-  if (network == "pa" && nodes.value() < 6) {
-    return Status::InvalidArgument(
-        "network 'pa' needs at least 6 nodes (5 out-edges per node)");
-  }
-
-  Graph graph;
-  if (network == "er") {
-    graph = GenerateErdosRenyi(static_cast<NodeId>(nodes.value()),
-                               static_cast<size_t>(edges.value()), seed);
-    graph.ApplyWeightedCascade();
-  } else if (network == "pa") {
-    graph = GeneratePreferentialAttachment(
-        static_cast<NodeId>(nodes.value()), /*out_per_node=*/5,
-        /*undirected=*/false, seed);
-    graph.ApplyWeightedCascade();
-  } else if (network == "flixster") {
-    graph = MakeFlixsterLike(seed, scale);
-  } else if (network == "douban-book") {
-    graph = MakeDoubanBookLike(seed, scale);
-  } else if (network == "douban-movie") {
-    graph = MakeDoubanMovieLike(seed, scale);
-  } else if (network == "twitter") {
-    graph = MakeTwitterLike(seed, scale);
-  } else if (network == "orkut") {
-    graph = MakeOrkutLike(seed, scale);
-  } else {
-    return Status::InvalidArgument("unknown network '" + network + "'");
-  }
-  if (p > 0.0) graph.ApplyConstantProbability(p);
-  return graph;
+  spec.seed = static_cast<uint64_t>(net_seed.value());
+  Result<double> scale = GetNumberField(body, "scale", spec.scale);
+  if (!scale.ok()) return scale.status();
+  spec.scale = scale.value();
+  Result<double> p = GetNumberField(body, "p", spec.p);
+  if (!p.ok()) return p.status();
+  spec.p = p.value();
+  return BuildNetwork(spec);
 }
 
 Result<ItemParams> BuildParamsFromSpec(const Json& body) {
-  const std::string path = GetStringField(body, "path");
-  if (!path.empty()) return LoadItemParams(path);
-
-  const std::string config = GetStringField(body, "config");
-  if (config.empty()) {
+  ConfigSpec spec;
+  spec.path = GetStringField(body, "path");
+  spec.config = GetStringField(body, "config");
+  if (spec.path.empty() && spec.config.empty()) {
     return Status::InvalidArgument(
         "load_params needs either 'path' or 'config'");
   }
-  Result<long long> items = GetIntField(body, "items", 2, 1, 32);
+  Result<long long> items = GetIntField(body, "items", spec.items);
   if (!items.ok()) return items.status();
-  const ItemId num_items = static_cast<ItemId>(items.value());
-  Result<long long> param_seed =
-      GetIntField(body, "param_seed", 8, 0, INT64_MAX);
+  spec.items = items.value();
+  Result<long long> param_seed = GetIntField(
+      body, "param_seed", static_cast<long long>(spec.seed), 0, INT64_MAX);
   if (!param_seed.ok()) return param_seed.status();
-
-  if (config == "config12") return MakeTwoItemConfig12();
-  if (config == "config34") return MakeTwoItemConfig34();
-  if (config == "additive") return MakeAdditiveConfig5(num_items);
-  if (config == "cone-max") return MakeConeConfig67(num_items, 0);
-  if (config == "cone-min") {
-    return MakeConeConfig67(num_items, static_cast<ItemId>(num_items - 1));
-  }
-  if (config == "levelwise") {
-    return MakeLevelwiseConfig8(num_items,
-                                static_cast<uint64_t>(param_seed.value()));
-  }
-  if (config == "real") return MakeRealPlaystationParams();
-  return Status::InvalidArgument("unknown config '" + config + "'");
+  spec.seed = static_cast<uint64_t>(param_seed.value());
+  return BuildConfig(spec);
 }
 
 }  // namespace serve

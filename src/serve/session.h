@@ -93,15 +93,16 @@ class SessionRegistry {
 /// \brief Build a graph from a `load_graph` request body.
 ///
 /// Either `"path"` (a SaveGraph file) or a generator spec mirroring the
-/// uic_run network flags: `"network"` (er | pa | flixster | douban-book |
-/// douban-movie | twitter | orkut), `"nodes"`, `"edges"`, `"net_seed"`,
-/// `"scale"`; optional `"p"` re-weights every edge to a constant
-/// probability.
+/// uic_run network flags: `"network"` (required without `"path"`),
+/// `"nodes"`, `"edges"`, `"net_seed"`, `"scale"`; optional `"p"`
+/// re-weights every edge to a constant probability. The fields map onto
+/// an exp/specs.h NetworkSpec, which holds the roster, the defaults and
+/// the limits.
 [[nodiscard]] Result<Graph> BuildGraphFromSpec(const Json& body);
 
 /// \brief Build item params from a `load_params` request body: `"path"`
-/// (a SaveItemParams file) or `"config"` (config12 | config34 | additive |
-/// cone-max | cone-min | levelwise | real) with `"items"`/`"param_seed"`.
+/// (a SaveItemParams file) or `"config"` with `"items"`/`"param_seed"`,
+/// mapped onto an exp/specs.h ConfigSpec.
 [[nodiscard]] Result<ItemParams> BuildParamsFromSpec(const Json& body);
 
 }  // namespace serve

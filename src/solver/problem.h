@@ -44,14 +44,17 @@ struct WelfareProblem {
   DiffusionModel model = DiffusionModel::kIndependentCascade;
 };
 
-/// MC greedy tuning (see core/mc_greedy.h).
+/// MC greedy tuning (see core/mc_greedy.h). McGreedyAllocate reads these
+/// fields directly; this struct is the only copy of the knobs.
 struct McGreedySolverOptions {
   size_t simulations_per_eval = 200;  ///< MC samples per welfare estimate
-  /// Restrict candidate seed nodes (empty = all nodes).
+  /// Restrict candidate seed nodes (empty = all nodes). Pre-filtering to,
+  /// say, the top-degree nodes makes the greedy usable on mid-size graphs.
   std::vector<NodeId> candidates;
 };
 
-/// Com-IC baseline tuning (see comic/rr_sim.h).
+/// Com-IC baseline tuning (see comic/rr_sim.h). RrCim reads this field
+/// directly; this struct is the only copy of the knob.
 struct ComIcSolverOptions {
   /// Forward Monte-Carlo simulations used by RR-CIM to estimate per-node
   /// i2-adoption probabilities.

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cctype>
-#include <map>
-#include <utility>
 
-#include "common/annotations.h"
-#include "common/mutex.h"
+#include "bdhs/bdhs.h"
+#include "comic/rr_sim.h"
+#include "common/timer.h"
+#include "core/baselines.h"
+#include "core/bundle_grd.h"
+#include "core/mc_greedy.h"
+#include "items/gap.h"
 
 namespace uic {
 
@@ -20,42 +23,103 @@ std::string Lowercase(const std::string& s) {
   return out;
 }
 
-/// The registry's shared state: the factory map and the mutex guarding
-/// it live in one struct so the thread-safety analysis can tie the
-/// GUARDED_BY relation to a concrete capability expression.
-/// std::map keeps ListSolvers sorted; keys are stored lowercase.
-struct RegistryState {
-  Mutex mu;
-  std::map<std::string, SolverRegistry::Factory> factories UIC_GUARDED_BY(mu);
+/// RR options with the problem's diffusion model folded in (the model wins
+/// over a stale rr_options.linear_threshold).
+RrOptions EffectiveRrOptions(const WelfareProblem& p, const SolverOptions& o) {
+  RrOptions rr = o.rr_options;
+  rr.linear_threshold |= p.model == DiffusionModel::kLinearThreshold;
+  return rr;
+}
+
+AllocationResult RunBundleGrd(const WelfareProblem& p, const SolverOptions& o) {
+  return BundleGrd(*p.graph, p.budgets, o.eps, o.ell, o.seed, o.workers,
+                   p.model, EffectiveRrOptions(p, o));
+}
+
+AllocationResult RunItemDisjoint(const WelfareProblem& p,
+                                 const SolverOptions& o) {
+  return ItemDisjoint(*p.graph, p.budgets, o.eps, o.ell, o.seed, o.workers,
+                      EffectiveRrOptions(p, o));
+}
+
+AllocationResult RunBundleDisjoint(const WelfareProblem& p,
+                                   const SolverOptions& o) {
+  return BundleDisjoint(*p.graph, p.budgets, *p.params, o.eps, o.ell, o.seed,
+                        o.workers, EffectiveRrOptions(p, o));
+}
+
+AllocationResult RunMcGreedy(const WelfareProblem& p, const SolverOptions& o) {
+  return McGreedyAllocate(*p.graph, p.budgets, *p.params, o);
+}
+
+AllocationResult RunRrSimPlus(const WelfareProblem& p, const SolverOptions& o) {
+  return RrSimPlus(*p.graph, DeriveTwoItemGap(*p.params), p.budgets[0],
+                   p.budgets[1], o);
+}
+
+AllocationResult RunRrCim(const WelfareProblem& p, const SolverOptions& o) {
+  return RrCim(*p.graph, DeriveTwoItemGap(*p.params), p.budgets[0],
+               p.budgets[1], o);
+}
+
+AllocationResult RunBdhs(const WelfareProblem& p, const SolverOptions& o) {
+  WallTimer timer;
+  BdhsResult bdhs;
+  if (o.bdhs.variant == BdhsVariant::kConcave) {
+    // BDHS-Concave is only valid under a uniform edge probability; evaluate
+    // it on a re-weighted copy, as the Fig. 9 bench does.
+    Graph uniform = *p.graph;
+    uniform.ApplyConstantProbability(o.bdhs.uniform_p);
+    bdhs = BdhsConcave(uniform, *p.params, o.bdhs.uniform_p);
+  } else {
+    bdhs = BdhsStep(*p.graph, *p.params, o.bdhs.kappa);
+  }
+  AllocationResult result;
+  result.objective = bdhs.welfare;
+  // BDHS is budget-free: it assigns the optimal bundle to every node.
+  if (bdhs.bundle != kEmptyItemSet) {
+    for (NodeId v = 0; v < p.graph->num_nodes(); ++v) {
+      result.allocation.AppendNew(v, bdhs.bundle);
+    }
+  }
+  result.seconds = timer.ElapsedSeconds();
+  return result;
+}
+
+/// Utility-oblivious and LT-capable: the PRIMA family.
+constexpr Solver::Traits kPrima{.supports_linear_threshold = true};
+/// The PRIMA family, reading the utilities (bundle-disj).
+constexpr Solver::Traits kPrimaWithParams{.needs_params = true,
+                                          .supports_linear_threshold = true};
+/// Reads the utilities and simulates IC forward (mc-greedy, bdhs).
+constexpr Solver::Traits kIcWithParams{.needs_params = true};
+/// Com-IC: the GAP comes from the utilities; two items, IC only.
+constexpr Solver::Traits kComIc{.needs_params = true, .two_items_only = true};
+
+/// The seven §6 algorithms, sorted by name (the ListSolvers order).
+/// Solver::Solve checks a problem against the row's traits before calling
+/// its function.
+constexpr Solver::Row kSolvers[] = {
+    {"bdhs", kIcWithParams, RunBdhs},
+    {"bundle-disj", kPrimaWithParams, RunBundleDisjoint},
+    {"bundle-grd", kPrima, RunBundleGrd},
+    {"item-disj", kPrima, RunItemDisjoint},
+    {"mc-greedy", kIcWithParams, RunMcGreedy},
+    {"rr-cim", kComIc, RunRrCim},
+    {"rr-sim+", kComIc, RunRrSimPlus},
 };
-
-RegistryState& State() {
-  static RegistryState state;
-  return state;
-}
-
-void EnsureBuiltins() {
-  static const bool once = [] {
-    detail::RegisterBuiltinSolvers();
-    return true;
-  }();
-  (void)once;
-}
 
 }  // namespace
 
 std::unique_ptr<Solver> SolverRegistry::Create(const std::string& name,
                                                const SolverOptions& options) {
-  EnsureBuiltins();
-  Factory factory;
-  {
-    RegistryState& state = State();
-    MutexLock lock(state.mu);
-    auto it = state.factories.find(Lowercase(name));
-    if (it == state.factories.end()) return nullptr;
-    factory = it->second;
+  const std::string key = Lowercase(name);
+  for (const Solver::Row& row : kSolvers) {
+    if (key == row.name) {
+      return std::unique_ptr<Solver>(new Solver(row, options));
+    }
   }
-  return factory(options);
+  return nullptr;
 }
 
 Result<std::unique_ptr<Solver>> SolverRegistry::CreateOrError(
@@ -72,29 +136,9 @@ Result<std::unique_ptr<Solver>> SolverRegistry::CreateOrError(
 }
 
 std::vector<std::string> SolverRegistry::ListSolvers() {
-  EnsureBuiltins();
-  RegistryState& state = State();
-  MutexLock lock(state.mu);
   std::vector<std::string> names;
-  names.reserve(state.factories.size());
-  for (const auto& [name, factory] : state.factories) names.push_back(name);
+  for (const Solver::Row& row : kSolvers) names.emplace_back(row.name);
   return names;
 }
-
-bool SolverRegistry::Register(const std::string& name, Factory factory) {
-  EnsureBuiltins();
-  return detail::RegisterSolverFactory(name, std::move(factory));
-}
-
-namespace detail {
-
-bool RegisterSolverFactory(const std::string& name,
-                           SolverRegistry::Factory factory) {
-  RegistryState& state = State();
-  MutexLock lock(state.mu);
-  return state.factories.emplace(Lowercase(name), std::move(factory)).second;
-}
-
-}  // namespace detail
 
 }  // namespace uic

@@ -1,14 +1,14 @@
-// String-keyed solver registry: the runtime algorithm-selection point.
+// String-keyed solver lookup: the runtime algorithm-selection point.
 //
-// The seven built-in algorithms of §6 are pre-registered under the names
-//   bundle-grd, item-disj, bundle-disj, mc-greedy, rr-sim+, rr-cim, bdhs
-// (see PAPER.md for the roster↔name table). New algorithms plug in with
-// SolverRegistry::Register without touching any caller — the uic_run
-// driver, the bench binaries, and the CI smoke loop all go through
-// ListSolvers()/Create().
+// The seven allocation algorithms of §6 are one constant, name-sorted
+// table in registry.cc, under the names
+//   bdhs, bundle-disj, bundle-grd, item-disj, mc-greedy, rr-cim, rr-sim+
+// (see PAPER.md for the roster↔name table). The table never changes at
+// run time, so lookups take no lock. Adding an algorithm means adding one
+// row there; uic_run, the bench binaries, the sweep engine and the daemon
+// all go through ListSolvers()/Create().
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,43 +19,21 @@ namespace uic {
 
 class SolverRegistry {
  public:
-  using Factory =
-      std::function<std::unique_ptr<Solver>(const SolverOptions&)>;
-
-  /// Construct the solver registered under `name` (matched
-  /// case-insensitively). Returns nullptr for an unknown name — callers
-  /// that want a message use CreateOrError.
+  /// Construct the solver named `name` (matched case-insensitively).
+  /// Returns nullptr for an unknown name — callers that want a message
+  /// use CreateOrError.
   static std::unique_ptr<Solver> Create(const std::string& name,
                                         const SolverOptions& options = {});
 
   /// As Create, but an unknown name yields Status::NotFound listing the
-  /// registered solvers.
+  /// known solvers.
   [[nodiscard]] static Result<std::unique_ptr<Solver>> CreateOrError(
       const std::string& name, const SolverOptions& options = {});
 
-  /// Registered names, sorted. Every name constructs via Create.
+  /// The table's names, sorted. Every name constructs via Create.
   static std::vector<std::string> ListSolvers();
-
-  /// Register `factory` under `name` (stored lowercase). Returns false —
-  /// leaving the existing entry in place — if the name is already taken
-  /// (the built-in names always are).
-  static bool Register(const std::string& name, Factory factory);
 
   SolverRegistry() = delete;
 };
-
-namespace detail {
-/// Defined in builtin_solvers.cc; idempotently registers the seven
-/// built-in algorithm adapters. Called by the registry on first use (a
-/// plain function call, so it cannot be dropped the way per-TU static
-/// initializers in a static library can).
-void RegisterBuiltinSolvers();
-
-/// Raw map insertion without the ensure-builtins step — the registration
-/// path RegisterBuiltinSolvers itself uses (the public Register would
-/// recurse into the in-flight builtin initialization).
-bool RegisterSolverFactory(const std::string& name,
-                           SolverRegistry::Factory factory);
-}  // namespace detail
 
 }  // namespace uic

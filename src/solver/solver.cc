@@ -71,7 +71,7 @@ Status Solver::Validate(const WelfareProblem& problem) const {
 Result<AllocationResult> Solver::Solve(const WelfareProblem& problem) {
   Status st = Validate(problem);
   if (!st.ok()) return st;
-  return SolveValidated(problem);
+  return row_.run(problem, options_);
 }
 
 }  // namespace uic

@@ -1,31 +1,33 @@
-// The abstract Solver contract: one stable interface in front of the
-// seven allocation algorithms of §6 (and any future ones).
+// Solver: one of the seven allocation algorithms of §6, bound to its
+// options.
 //
 //   auto solver = SolverRegistry::Create("bundle-grd", options);
 //   Result<AllocationResult> r = solver->Solve(problem);
 //
-// Solve validates the problem against the solver's declared requirements
-// (utility params needed? two items only? LT supported?) and returns a
-// Status instead of crashing on malformed input; the legacy free functions
-// remain as the thin internal implementations the adapters call.
+// A Solver is a row of the closed solver table (solver/registry.cc) plus
+// the SolverOptions it was created with. Solve validates the problem
+// against the row's declared requirements (utility params needed? two
+// items only? LT supported?) and returns a Status instead of crashing on
+// malformed input, then calls the row's function.
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "common/status.h"
 #include "solver/problem.h"
 
 namespace uic {
 
-/// \brief Base class for all allocation solvers.
+/// \brief An allocation algorithm from the solver table plus its options.
 ///
-/// A Solver is cheap to construct (no per-instance state beyond options)
-/// and stateless across Solve calls: the same (problem, options) always
-/// yields the same allocation.
+/// Cheap to construct (no per-instance state beyond options) and
+/// stateless across Solve calls: the same (problem, options) always
+/// yields the same allocation. Only SolverRegistry creates Solvers.
 class Solver {
  public:
-  /// Static requirements a concrete solver declares; `Solve` checks the
-  /// problem against them before dispatching.
+  /// Static requirements a table row declares; `Solve` checks the
+  /// problem against them before calling the row's function.
   struct Traits {
     /// Rejects problems without `params` (FailedPrecondition).
     bool needs_params = false;
@@ -36,16 +38,21 @@ class Solver {
     bool supports_linear_threshold = false;
   };
 
-  explicit Solver(SolverOptions options) : options_(std::move(options)) {}
-  virtual ~Solver() = default;
+  /// One row of the solver table: the registry name, the traits Solve
+  /// checks, and the algorithm, called only on a validated problem.
+  struct Row {
+    const char* name;
+    Traits traits;
+    AllocationResult (*run)(const WelfareProblem&, const SolverOptions&);
+  };
 
   Solver(const Solver&) = delete;
   Solver& operator=(const Solver&) = delete;
 
   /// Registry name of this solver (e.g. "bundle-grd").
-  virtual const std::string& name() const = 0;
+  const std::string& name() const { return name_; }
 
-  virtual Traits traits() const = 0;
+  Traits traits() const { return row_.traits; }
 
   /// Validate `problem`, then run the algorithm. Never crashes on
   /// malformed input; returns InvalidArgument / FailedPrecondition /
@@ -54,14 +61,16 @@ class Solver {
 
   const SolverOptions& options() const { return options_; }
 
- protected:
-  /// The algorithm itself; `problem` has already passed Validate.
-  [[nodiscard]] virtual Result<AllocationResult> SolveValidated(
-      const WelfareProblem& problem) = 0;
-
  private:
+  friend class SolverRegistry;
+
+  Solver(const Row& row, SolverOptions options)
+      : row_(row), name_(row.name), options_(std::move(options)) {}
+
   [[nodiscard]] Status Validate(const WelfareProblem& problem) const;
 
+  const Row& row_;
+  std::string name_;
   SolverOptions options_;
 };
 

@@ -2,7 +2,9 @@
 #
 # Drives the real CLI on pinned tiny networks and compares the reports
 # byte-for-byte with tests/golden/ (all invocations use --no-timing, the
-# only nondeterministic column), then checks the error paths exit nonzero.
+# only nondeterministic column), then checks that each error path exits
+# with its documented code: 1 for a solver/problem error, 2 for a usage
+# error. An exact code is the bar, so a crash (134) never passes.
 # Everything the reports contain — generator topology, RR pools, seed
 # selection, welfare estimation — is deterministic in the flags alone
 # (pool content depends on the seed only; see rr_collection.h), so an
@@ -33,15 +35,16 @@ function(run_and_compare name golden)
   message(STATUS "${name}: exact match against ${golden}")
 endfunction()
 
-function(expect_nonzero_exit name)
+function(expect_exit name code)
   execute_process(
     COMMAND ${UIC_RUN} ${ARGN}
-    OUTPUT_QUIET ERROR_QUIET
+    OUTPUT_QUIET ERROR_VARIABLE err
     RESULT_VARIABLE rc)
-  if(rc EQUAL 0)
-    message(FATAL_ERROR "${name}: expected a nonzero exit, got success")
+  if(NOT rc STREQUAL code)
+    message(FATAL_ERROR "${name}: expected exit ${code}, got ${rc}\n"
+                        "stderr:\n${err}")
   endif()
-  message(STATUS "${name}: failed as expected (${rc})")
+  message(STATUS "${name}: exit ${rc} as expected")
 endfunction()
 
 # --- golden report matches --------------------------------------------
@@ -83,17 +86,33 @@ if(NOT got STREQUAL want)
 endif()
 message(STATUS "sweep_report: exact match against uic_run_sweep.csv")
 
-# --- error paths exit nonzero -----------------------------------------
+# --- error paths exit with their documented code ----------------------
 
-expect_nonzero_exit(unknown_algorithm
+# Solver/problem errors: exit 1 with the InvalidArgument/NotFound message.
+expect_exit(unknown_algorithm 1
   --algorithm no-such-algorithm --network er --nodes 50 --edges 200)
-expect_nonzero_exit(unknown_network
+expect_exit(unknown_network 1
   --algorithm bundle-grd --network mars)
-expect_nonzero_exit(malformed_numeric_flag
+# Specs outside the exp/specs.h limits (each once crashed uic_run or, for
+# p, was silently accepted).
+expect_exit(pa_below_min_nodes 1
+  --algorithm bundle-grd --network pa --nodes 5)
+expect_exit(er_below_min_nodes 1
+  --algorithm bundle-grd --network er --nodes 1)
+expect_exit(items_above_max 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200
+  --config additive --items 40)
+expect_exit(negative_scale 1
+  --algorithm bundle-grd --network douban-movie --scale -1)
+expect_exit(probability_above_one 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --p 2.5)
+
+# Usage errors: exit 2.
+expect_exit(malformed_numeric_flag 2
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --budget xyz)
-expect_nonzero_exit(malformed_budget_list
+expect_exit(malformed_budget_list 2
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --budgets 3,,4)
-expect_nonzero_exit(malformed_sweep_spec
+expect_exit(malformed_sweep_spec 2
   --sweep 10:5:2 --algorithms bundle-grd --network er --nodes 50 --edges 200)
-expect_nonzero_exit(missing_algorithm_flag
+expect_exit(missing_algorithm_flag 2
   --network er --nodes 50 --edges 200)

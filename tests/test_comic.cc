@@ -116,8 +116,9 @@ TEST(RrSimPlus, RespectsBudgetsAndItems) {
   Graph g = GenerateErdosRenyi(300, 1800, 7);
   g.ApplyWeightedCascade();
   const TwoItemGap gap = SymmetricGap(0.5, 0.84);
-  ComIcBaselineOptions options;
-  const AllocationResult r = RrSimPlus(g, gap, 12, 8, options, 8);
+  SolverOptions options;
+  options.seed = 8;
+  const AllocationResult r = RrSimPlus(g, gap, 12, 8, options);
   EXPECT_EQ(r.allocation.SeedCount(0), 12u);
   EXPECT_EQ(r.allocation.SeedCount(1), 8u);
   EXPECT_GT(r.num_rr_sets, 0u);
@@ -127,9 +128,10 @@ TEST(RrCim, RespectsBudgetsAndItems) {
   Graph g = GenerateErdosRenyi(300, 1800, 9);
   g.ApplyWeightedCascade();
   const TwoItemGap gap = SymmetricGap(0.5, 0.84);
-  ComIcBaselineOptions options;
-  options.cim_forward_simulations = 50;
-  const AllocationResult r = RrCim(g, gap, 10, 10, options, 10);
+  SolverOptions options;
+  options.comic.cim_forward_simulations = 50;
+  options.seed = 10;
+  const AllocationResult r = RrCim(g, gap, 10, 10, options);
   EXPECT_EQ(r.allocation.SeedCount(0), 10u);
   EXPECT_EQ(r.allocation.SeedCount(1), 10u);
 }
@@ -140,8 +142,9 @@ TEST(ComIcBaselines, GenerateMoreRrSetsThanImmBased) {
   Graph g = GenerateErdosRenyi(400, 2400, 11);
   g.ApplyWeightedCascade();
   const TwoItemGap gap = SymmetricGap(0.5, 0.84);
-  ComIcBaselineOptions options;
-  const AllocationResult sim_plus = RrSimPlus(g, gap, 10, 10, options, 12);
+  SolverOptions options;
+  options.seed = 12;
+  const AllocationResult sim_plus = RrSimPlus(g, gap, 10, 10, options);
   const ImResult imm = Imm(g, 10, 0.5, 1.0, 12);
   EXPECT_GT(sim_plus.num_rr_sets, imm.num_rr_sets);
 }
@@ -150,10 +153,12 @@ TEST(RrCim, SlowerThanRrSimPlusDueToForwardSimulation) {
   Graph g = GenerateErdosRenyi(500, 3000, 13);
   g.ApplyWeightedCascade();
   const TwoItemGap gap = SymmetricGap(0.5, 0.84);
-  ComIcBaselineOptions options;
-  options.cim_forward_simulations = 400;
-  const AllocationResult cim = RrCim(g, gap, 10, 10, options, 14, 2);
-  const AllocationResult sim_plus = RrSimPlus(g, gap, 10, 10, options, 14, 2);
+  SolverOptions options;
+  options.comic.cim_forward_simulations = 400;
+  options.seed = 14;
+  options.workers = 2;
+  const AllocationResult cim = RrCim(g, gap, 10, 10, options);
+  const AllocationResult sim_plus = RrSimPlus(g, gap, 10, 10, options);
   EXPECT_GT(cim.seconds, sim_plus.seconds * 0.8);
 }
 
@@ -176,19 +181,21 @@ TEST(ComIcBaselinePins, ExactSeedsAndRrSetsColdAndWarm) {
   Graph g = GenerateErdosRenyi(300, 1800, 7);
   g.ApplyWeightedCascade();
   const TwoItemGap gap = SymmetricGap(0.5, 0.84);
-  ComIcBaselineOptions cold;
-  cold.cim_forward_simulations = 50;
+  SolverOptions cold;
+  cold.comic.cim_forward_simulations = 50;
+  cold.seed = 8;
+  cold.workers = 4;
   RrStreamCache cache;
-  ComIcBaselineOptions warm = cold;
-  warm.stream_cache = &cache;
-  for (const ComIcBaselineOptions* options : {&cold, &warm, &warm}) {
-    const bool cached = options->stream_cache != nullptr;
-    const AllocationResult sim = RrSimPlus(g, gap, 6, 4, *options, 8, 4);
+  SolverOptions warm = cold;
+  warm.rr_options.stream_cache = &cache;
+  for (const SolverOptions* options : {&cold, &warm, &warm}) {
+    const bool cached = options->rr_options.stream_cache != nullptr;
+    const AllocationResult sim = RrSimPlus(g, gap, 6, 4, *options);
     EXPECT_EQ(sim.ranking, kPinnedSimPlusRanking) << "cached=" << cached;
     EXPECT_EQ(sim.allocation.entries(), kPinnedSimPlusAllocation)
         << "cached=" << cached;
     EXPECT_EQ(sim.num_rr_sets, kPinnedSimPlusRrSets) << "cached=" << cached;
-    const AllocationResult cim = RrCim(g, gap, 6, 4, *options, 8, 4);
+    const AllocationResult cim = RrCim(g, gap, 6, 4, *options);
     EXPECT_EQ(cim.ranking, kPinnedCimRanking) << "cached=" << cached;
     EXPECT_EQ(cim.allocation.entries(), kPinnedCimAllocation)
         << "cached=" << cached;

@@ -115,8 +115,8 @@ TEST(McGreedy, RespectsBudgets) {
   Graph g = GenerateErdosRenyi(60, 300, 1);
   g.ApplyWeightedCascade();
   ItemParams params = SynergyPair(0.0, 0.0, 1.0);
-  McGreedyOptions options;
-  options.simulations_per_eval = 50;
+  SolverOptions options;
+  options.mc_greedy.simulations_per_eval = 50;
   const AllocationResult r = McGreedyAllocate(g, {3, 2}, params, options);
   EXPECT_EQ(r.allocation.SeedCount(0), 3u);
   EXPECT_EQ(r.allocation.SeedCount(1), 2u);
@@ -127,8 +127,8 @@ TEST(McGreedy, BundlesComplementaryItemsOnSharedSeeds) {
   Graph g = GenerateErdosRenyi(50, 250, 2);
   g.ApplyWeightedCascade();
   ItemParams params = SynergyPair(-0.5, -0.5, 2.0);
-  McGreedyOptions options;
-  options.simulations_per_eval = 100;
+  SolverOptions options;
+  options.mc_greedy.simulations_per_eval = 100;
   const AllocationResult r = McGreedyAllocate(g, {2, 2}, params, options);
   // At least one node carries both items (otherwise welfare would be 0).
   bool bundled = false;
@@ -142,8 +142,8 @@ TEST(McGreedy, ComparableToBundleGrdOnSmallGraph) {
   Graph g = GenerateErdosRenyi(80, 480, 3);
   g.ApplyWeightedCascade();
   ItemParams params = SynergyPair(0.0, 0.0, 1.0);
-  McGreedyOptions options;
-  options.simulations_per_eval = 150;
+  SolverOptions options;
+  options.mc_greedy.simulations_per_eval = 150;
   const AllocationResult greedy = McGreedyAllocate(g, {4, 4}, params, options);
   const AllocationResult grd = BundleGrd(g, {4, 4}, 0.3, 1.0, 4);
   const double w_greedy =

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <vector>
+
 #include "exp/networks.h"
+#include "exp/specs.h"
 #include "items/gap.h"
 #include "items/value_function.h"
 
@@ -186,6 +190,65 @@ TEST(Networks, DescribeAllCoversFiveNetworks) {
     EXPECT_GT(info.built_nodes, 0u);
     EXPECT_GT(info.built_edges, 0u);
   }
+}
+
+NetworkSpec SmallEr() {
+  NetworkSpec spec;
+  spec.network = "er";
+  spec.nodes = 50;
+  spec.edges = 200;
+  return spec;
+}
+
+TEST(Specs, NetworkSpecsOutsideTheLimitsAreInvalidArgument) {
+  std::vector<NetworkSpec> bad(10, SmallEr());
+  bad[0].nodes = 1;  // er needs two nodes
+  bad[1].network = "pa";
+  bad[1].nodes = 5;  // pa needs six
+  bad[2].nodes = 0;
+  bad[3].nodes = 1LL << 32;
+  bad[4].edges = -1;
+  bad[5].scale = -1.0;
+  bad[6].scale = std::nan("");
+  bad[7].p = 2.5;
+  bad[8].p = -0.1;
+  bad[9].network = "mars";
+  for (size_t i = 0; i < bad.size(); ++i) {
+    const Result<Graph> graph = BuildNetwork(bad[i]);
+    ASSERT_FALSE(graph.ok()) << "case " << i;
+    EXPECT_EQ(graph.status().code(), Status::Code::kInvalidArgument)
+        << "case " << i;
+  }
+}
+
+TEST(Specs, NetworkLimitsAreInclusive) {
+  NetworkSpec er = SmallEr();
+  er.nodes = 2;
+  er.p = 1.0;
+  const Result<Graph> two = BuildNetwork(er);
+  ASSERT_TRUE(two.ok()) << two.status().ToString();
+  EXPECT_EQ(two.value().num_nodes(), 2u);
+  NetworkSpec pa = SmallEr();
+  pa.network = "pa";
+  pa.nodes = 6;
+  EXPECT_TRUE(BuildNetwork(pa).ok());
+}
+
+TEST(Specs, ItemCountMustFitTheItemsetRepresentation) {
+  ConfigSpec spec;
+  spec.config = "additive";
+  for (long long items : {-1LL, 0LL, static_cast<long long>(kMaxItems) + 1}) {
+    spec.items = items;
+    const Result<ItemParams> params = BuildConfig(spec);
+    ASSERT_FALSE(params.ok()) << items;
+    EXPECT_EQ(params.status().code(), Status::Code::kInvalidArgument);
+  }
+  spec.items = kMaxItems;
+  const Result<ItemParams> widest = BuildConfig(spec);
+  ASSERT_TRUE(widest.ok()) << widest.status().ToString();
+  EXPECT_EQ(widest.value().num_items(), kMaxItems);
+  spec.config = "no-such-config";
+  EXPECT_EQ(BuildConfig(spec).status().code(), Status::Code::kInvalidArgument);
 }
 
 }  // namespace

@@ -720,7 +720,9 @@ void ExpectStillServes(Server& server) {
 TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
   // Each of these once ended the daemon: the first two in a generator
   // CHECK, the third in a bad_alloc from reserving for edges the graph
-  // cannot hold. Now each gets its reply and the daemon keeps serving.
+  // cannot hold, the fourth in the ItemParams item-count CHECK. The last
+  // once fell back to scale 0.3 silently. Now each gets its reply and the
+  // daemon keeps serving.
   struct Case {
     const char* request;
     const char* want;
@@ -736,6 +738,12 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
       {"{\"id\":42,\"verb\":\"load_graph\",\"name\":\"g10\",\"network\":\"er\","
        "\"nodes\":10,\"edges\":4000000000000}",
        "\"edges\":90"},
+      {"{\"id\":43,\"verb\":\"load_params\",\"name\":\"p31\","
+       "\"config\":\"additive\",\"items\":31}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":44,\"verb\":\"load_graph\",\"name\":\"gs\","
+       "\"network\":\"flixster\",\"scale\":0}",
+       "\"code\":\"bad_request\""},
   };
   Server server(GoldenOptions());
   LoadFixtures(server);

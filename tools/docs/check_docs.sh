@@ -7,6 +7,10 @@
 #      behind the code (lint rule UIC-L011 guarantees names are literal
 #      strings at UIC_METRIC_* sites, which is what makes this
 #      greppable).
+#   3. Every solver name in the solver table (src/solver/registry.cc)
+#      appears in PAPER.md's "§6 algorithm roster ↔ solver registry
+#      names" table. The names are string literals opening the table's
+#      rows, which is what makes this greppable.
 set -u
 root="${1:-.}"
 fail=0
@@ -42,7 +46,24 @@ while IFS= read -r name; do
 done < <(grep -rhoE '"uic_[a-z0-9_]+(_total|_ms|_depth|_running)"' \
   "$root/src" "$root/examples" | tr -d '"' | sort -u)
 
+# --- solver roster coverage ---------------------------------------------
+paper="$root/PAPER.md"
+roster=$(sed -n '/^### §6 algorithm roster ↔ solver registry names/,/^#/p' \
+  "$paper" 2>/dev/null)
+solvers=$(grep -oE '^ *\{"[^"]+",' "$root/src/solver/registry.cc" |
+  sed -E 's/^ *\{"//; s/",$//')
+if [ -z "$solvers" ]; then
+  echo "no solver names found in the table in src/solver/registry.cc"
+  fail=1
+fi
+for name in $solvers; do
+  if ! grep -qF "| \`$name\` |" <<<"$roster"; then
+    echo "solver $name is in the solver table but missing from the roster in $paper"
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs clean: links resolve, metric roster covered"
+  echo "docs clean: links resolve, metric and solver rosters covered"
 fi
 exit "$fail"
