@@ -13,7 +13,7 @@
 #include "exp/configs.h"
 #include "exp/flags.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 #include "welfare/block_accounting.h"
 
 int main(int argc, char** argv) {

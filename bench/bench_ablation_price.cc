@@ -11,7 +11,7 @@
 #include "diffusion/uic_model.h"
 #include "exp/flags.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 #include "items/supermodular_generators.h"
 
 int main(int argc, char** argv) {

@@ -15,7 +15,7 @@
 #include "exp/configs.h"
 #include "exp/flags.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 
 namespace uic {
 namespace {

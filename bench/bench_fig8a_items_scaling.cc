@@ -12,7 +12,7 @@
 #include "exp/configs.h"
 #include "exp/flags.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 
 int main(int argc, char** argv) {
   using namespace uic;

@@ -16,7 +16,7 @@
 #include "exp/configs.h"
 #include "exp/flags.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 #include "items/supermodular_generators.h"
 
 namespace uic {

@@ -11,7 +11,7 @@
 #include "exp/configs.h"
 #include "exp/flags.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 #include "graph/subgraph.h"
 
 int main(int argc, char** argv) {

@@ -13,7 +13,7 @@
 #include "common/table.h"
 #include "exp/flags.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 #include "rrset/prima.h"
 
 int main(int argc, char** argv) {

@@ -1,9 +1,9 @@
 // uic_run: the unified CLI driver over the solver registry.
 //
 // Loads or generates a network, builds a utility configuration, then runs
-// any registered allocation algorithm by name and prints a SuiteRow-style
-// report (welfare ± std error, wall-clock, RR sets). Every solver the
-// registry knows is reachable:
+// any registered allocation algorithm by name through RunSolve
+// (exp/solve.h) and prints a report: welfare ± std error under --model,
+// wall-clock, RR sets. Every solver the registry knows is reachable:
 //
 //   uic_run --list
 //   uic_run --algorithm bundle-grd --network douban-movie --budget 30
@@ -32,8 +32,8 @@
 #include "common/thread_pool.h"
 #include "core/serialization.h"
 #include "exp/flags.h"
+#include "exp/solve.h"
 #include "exp/specs.h"
-#include "exp/suite.h"
 #include "exp/sweep.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -81,7 +81,7 @@ constexpr const char* kUsage =
     "solver:\n"
     "  --eps X --ell X    sampling bounds           (default 0.5, 1.0)\n"
     "  --seed S           solver RNG seed           (default 1)\n"
-    "  --workers N        threads, 0 = hardware     (default 0)\n"
+    "  --workers N        threads, 0 = hardware, at most 1024 (default 0)\n"
     "  --model M          ic | lt                   (default ic)\n"
     "  --sampling-kernel K  auto | scan | skip RR sampling kernel\n"
     "                     (default auto = geometric skip-sampling;\n"
@@ -94,7 +94,7 @@ constexpr const char* kUsage =
     "  --uniform-p X      bdhs concave edge probability    (default 0.01)\n"
     "\n"
     "report:\n"
-    "  --mc N             welfare-evaluation simulations   (default 400)\n"
+    "  --mc N             welfare simulations under --model (default 400)\n"
     "  --eval-seed S      welfare-evaluation seed          (default 999)\n"
     "  --save-allocation PATH   persist the allocation (SaveAllocation)\n"
     "\n"
@@ -361,7 +361,13 @@ int Run(int argc, char** argv) {
   options.eps = flags.GetDouble("eps", 0.5);
   options.ell = flags.GetDouble("ell", 1.0);
   options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
-  options.workers = static_cast<unsigned>(flags.GetInt("workers", 0));
+  const long workers = flags.GetInt("workers", 0);
+  if (workers < 0 || workers > static_cast<long>(kMaxPoolThreads)) {
+    std::fprintf(stderr, "uic_run: --workers must be in [0, %u]\n",
+                 kMaxPoolThreads);
+    return 2;
+  }
+  options.workers = static_cast<unsigned>(workers);
   // Also size the process-wide shared pool (a no-op if something already
   // instantiated it): solvers route ParallelFor through ThreadPool::Shared,
   // and results are worker-count invariant by the determinism contract.
@@ -403,54 +409,35 @@ int Run(int argc, char** argv) {
   if (sweep_mode) return RunSweep(flags, problem, options);
 
   // --- solve ------------------------------------------------------------
-  Result<std::unique_ptr<Solver>> solver =
-      SolverRegistry::CreateOrError(algorithm, options);
-  if (!solver.ok()) {
-    std::fprintf(stderr, "uic_run: %s\n", solver.status().ToString().c_str());
-    return 1;
-  }
-  Result<AllocationResult> solved = solver.value()->Solve(problem);
+  SolveSpec spec;
+  spec.algorithm = algorithm;
+  spec.options = options;
+  spec.eval_sims = flags.GetInt("mc", 400);
+  spec.eval_seed = static_cast<uint64_t>(flags.GetInt("eval-seed", 999));
+  Result<SolveOutcome> solved = RunSolve(problem, spec);
   if (!solved.ok()) {
     std::fprintf(stderr, "uic_run: %s\n", solved.status().ToString().c_str());
     return 1;
   }
-  const AllocationResult& result = solved.value();
+  const AllocationResult& result = solved.value().result;
 
   // --- report -----------------------------------------------------------
-  std::string setting = "b=";
-  for (size_t i = 0; i < budgets.size(); ++i) {
-    if (i) setting += ',';
-    setting += std::to_string(budgets[i]);
-  }
-
   // --no-timing pins the report for golden end-to-end tests (wall-clock is
   // the only nondeterministic column).
   const bool timing = !flags.GetBool("no-timing");
+  // --mc 0 reports a zero estimate, as the estimator itself does.
+  const WelfareEstimate welfare =
+      solved.value().welfare.value_or(WelfareEstimate{});
   TablePrinter table({"algorithm", "setting", "welfare", "std error",
                       "seconds", "rr sets", "seed nodes"});
-  if (problem.params.has_value()) {
-    const size_t mc = static_cast<size_t>(flags.GetInt("mc", 400));
-    const uint64_t eval_seed =
-        static_cast<uint64_t>(flags.GetInt("eval-seed", 999));
-    const SuiteRow row =
-        EvaluateRow(algorithm, setting, graph.value(), result,
-                    *problem.params, mc, eval_seed, options.workers);
-    table.AddRow({row.algorithm, row.setting,
-                  TablePrinter::Num(row.welfare, 2),
-                  TablePrinter::Num(row.welfare_std_error, 2),
-                  timing ? TablePrinter::Num(row.seconds, 3)
-                         : std::string("-"),
-                  TablePrinter::Int(static_cast<long long>(row.num_rr_sets)),
-                  TablePrinter::Int(static_cast<long long>(
-                      result.allocation.num_seed_nodes()))});
-  } else {
-    table.AddRow({algorithm, setting, "(no params)", "-",
-                  timing ? TablePrinter::Num(result.seconds, 3)
-                         : std::string("-"),
-                  TablePrinter::Int(static_cast<long long>(result.num_rr_sets)),
-                  TablePrinter::Int(static_cast<long long>(
-                      result.allocation.num_seed_nodes()))});
-  }
+  table.AddRow(
+      {algorithm, BudgetLabel(budgets),
+       problem.params ? TablePrinter::Num(welfare.welfare, 2) : "(no params)",
+       problem.params ? TablePrinter::Num(welfare.std_error, 2) : "-",
+       timing ? TablePrinter::Num(result.seconds, 3) : std::string("-"),
+       TablePrinter::Int(static_cast<long long>(result.num_rr_sets)),
+       TablePrinter::Int(
+           static_cast<long long>(result.allocation.num_seed_nodes()))});
   table.Print();
   if (result.objective != 0.0) {
     std::printf("solver-reported objective: %.2f\n", result.objective);

@@ -36,7 +36,7 @@ constexpr const char* kUsage =
     "       uic_served --port N [options]           (loopback TCP mode)\n"
     "\n"
     "  --port N            listen on 127.0.0.1:N (0 = ephemeral, printed)\n"
-    "  --workers N         shared thread-pool size, 0 = hardware (default 0)\n"
+    "  --workers N         pool threads, 0 = hardware, max 1024 (default 0)\n"
     "  --concurrency N     simultaneous admitted requests    (default 2)\n"
     "  --queue-capacity N  queued requests before shedding   (default 16)\n"
     "  --max-graphs N      graph sessions pinned at once     (default 8)\n"
@@ -79,8 +79,9 @@ int Run(int argc, char** argv) {
   }
 
   const long workers = flags.GetInt("workers", 0);
-  if (workers < 0) {
-    std::fprintf(stderr, "uic_served: --workers must be >= 0\n");
+  if (workers < 0 || workers > static_cast<long>(kMaxPoolThreads)) {
+    std::fprintf(stderr, "uic_served: --workers must be in [0, %u]\n",
+                 kMaxPoolThreads);
     return 2;
   }
   if (workers > 0) ThreadPool::ConfigureShared(static_cast<unsigned>(workers));

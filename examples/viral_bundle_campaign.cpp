@@ -12,7 +12,7 @@
 #include "diffusion/uic_model.h"
 #include "exp/configs.h"
 #include "exp/networks.h"
-#include "exp/suite.h"
+#include "exp/solve.h"
 #include "welfare/block_accounting.h"
 
 int main() {

@@ -39,6 +39,9 @@ inline unsigned DefaultWorkers() {
   return hw > 16 ? 16 : hw;
 }
 
+/// Most threads the binaries' --workers flags may ask a pool for.
+inline constexpr unsigned kMaxPoolThreads = 1024;
+
 /// \brief Fixed-size pool of persistent worker threads.
 ///
 /// Thread-safe: concurrent `ParallelFor` calls from different threads are

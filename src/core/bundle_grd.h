@@ -28,7 +28,7 @@ struct AllocationResult {
   std::vector<NodeId> ranking;///< underlying seed ranking, when meaningful
   /// Objective value the solver itself reports, when it computes one (BDHS
   /// reports its externality-model benchmark welfare); 0 otherwise. The
-  /// UIC welfare of `allocation` is always obtained via EstimateWelfare.
+  /// UIC welfare of `allocation` comes from RunSolve (exp/solve.h).
   double objective = 0.0;
 };
 

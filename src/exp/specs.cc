@@ -13,8 +13,9 @@ namespace uic {
 namespace {
 
 Result<Graph> Generate(const NetworkSpec& spec) {
-  if (spec.nodes < 1 || spec.nodes > UINT32_MAX) {
-    return Status::InvalidArgument("nodes must be in [1, 2^32), got " +
+  // 2^32 - 1 nodes would overflow the graph's 32-bit CSR offsets.
+  if (spec.nodes < 1 || spec.nodes >= UINT32_MAX) {
+    return Status::InvalidArgument("nodes must be in [1, 2^32 - 1), got " +
                                    std::to_string(spec.nodes));
   }
   const long long edges = spec.edges.value_or(6 * spec.nodes);

@@ -28,7 +28,7 @@ struct NetworkSpec {
   std::string path;
   /// er | pa | flixster | douban-book | douban-movie | twitter | orkut.
   std::string network = "douban-movie";
-  /// er/pa node count, in [1, 2^32); er needs 2 and pa 6.
+  /// er/pa node count, in [1, 2^32 - 1); er needs 2 and pa 6.
   long long nodes = 2000;
   /// er edge count, at least 0 (default 6 * nodes). A count above
   /// n(n − 1) yields the complete graph.

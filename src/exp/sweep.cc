@@ -3,22 +3,12 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "diffusion/uic_model.h"
+#include "exp/solve.h"
 #include "obs/trace.h"
-#include "solver/registry.h"
 
 namespace uic {
 
 namespace {
-
-std::string BudgetLabel(const std::vector<uint32_t>& budgets) {
-  std::string label = "b=";
-  for (size_t i = 0; i < budgets.size(); ++i) {
-    if (i) label += ',';
-    label += std::to_string(budgets[i]);
-  }
-  return label;
-}
 
 std::string FormatDouble(double v) {
   char buf[64];
@@ -45,6 +35,15 @@ Result<uint32_t> ParseBudgetToken(const std::string& token) {
 }
 
 }  // namespace
+
+std::string BudgetLabel(const std::vector<uint32_t>& budgets) {
+  std::string label = "b=";
+  for (size_t i = 0; i < budgets.size(); ++i) {
+    if (i) label += ',';
+    label += std::to_string(budgets[i]);
+  }
+  return label;
+}
 
 Result<std::vector<uint32_t>> ParseBudgetList(const std::string& list) {
   std::vector<uint32_t> budgets;
@@ -154,9 +153,6 @@ Result<std::vector<std::vector<uint32_t>>> ParseSweepPoints(
 }
 
 Result<SweepReport> SweepRunner::Run() {
-  if (spec_.graph == nullptr) {
-    return Status::InvalidArgument("sweep: spec.graph is null");
-  }
   if (spec_.algorithms.empty()) {
     return Status::InvalidArgument("sweep: no algorithms");
   }
@@ -167,19 +163,18 @@ Result<SweepReport> SweepRunner::Run() {
   SweepReport report;
   report.warm = spec_.warm;
 
-  SolverOptions options = spec_.options;
-  options.rr_options.stream_cache = &cache_;
-
   WelfareProblem problem;
   problem.graph = spec_.graph;
   problem.params = spec_.params;
   problem.model = spec_.model;
 
-  for (const std::string& algorithm : spec_.algorithms) {
-    Result<std::unique_ptr<Solver>> solver =
-        SolverRegistry::CreateOrError(algorithm, options);
-    if (!solver.ok()) return solver.status();
+  SolveSpec solve;
+  solve.options = spec_.options;
+  solve.eval_sims = static_cast<long long>(spec_.eval_simulations);
+  solve.eval_seed = spec_.eval_seed;
 
+  for (const std::string& algorithm : spec_.algorithms) {
+    solve.algorithm = algorithm;
     for (const std::vector<uint32_t>& budgets : spec_.budget_points) {
       if (spec_.cancel != nullptr &&
           spec_.cancel->load(std::memory_order_relaxed)) {
@@ -196,28 +191,24 @@ Result<SweepReport> SweepRunner::Run() {
 
       obs::TraceSpan cell_span("sweep.cell");
       cell_span.SetAttr("budget", budgets.empty() ? 0 : budgets[0]);
-      const size_t sampled_before = cache_.stats().sampled_sets;
-      Result<AllocationResult> solved = solver.value()->Solve(problem);
+      Result<SolveOutcome> solved = RunSolve(problem, solve, &cache_);
       if (!solved.ok()) {
         return Status(solved.status().code(),
                       "sweep cell (" + algorithm + ", " +
                           BudgetLabel(budgets) + "): " +
                           solved.status().message());
       }
+      SolveOutcome& outcome = solved.value();
 
       SweepRow row;
       row.algorithm = algorithm;
       row.budgets = budgets;
       row.setting = BudgetLabel(budgets);
-      row.result = solved.MoveValue();
-      row.rr_sets_sampled = cache_.stats().sampled_sets - sampled_before;
-
-      if (spec_.params.has_value() && spec_.eval_simulations > 0) {
-        const WelfareEstimate est = EstimateWelfare(
-            *spec_.graph, row.result.allocation, *spec_.params,
-            spec_.eval_simulations, spec_.eval_seed, spec_.options.workers);
-        row.welfare = est.welfare;
-        row.welfare_std_error = est.std_error;
+      row.result = std::move(outcome.result);
+      row.rr_sets_sampled = outcome.rr_sets_sampled;
+      if (outcome.welfare.has_value()) {
+        row.welfare = outcome.welfare->welfare;
+        row.welfare_std_error = outcome.welfare->std_error;
       }
 
       report.total_rr_sets += row.num_rr_sets();

@@ -4,11 +4,10 @@
 // Figs. 4–9 and Tables 2–6 all have this shape).
 //
 // A `SweepRunner` executes a `SweepSpec` by solving every (algorithm,
-// budget point) cell through the solver registry. For the RR-based solvers
-// it threads one persistent `RrStreamCache` through every Solve via the
-// `SolverOptions::rr_options.stream_cache` hook, so consecutive budget
-// points extend shared sample streams instead of regenerating their pools
-// from scratch.
+// budget point) cell through RunSolve (exp/solve.h). It hands every cell
+// one persistent `RrStreamCache`, so consecutive budget points of the
+// RR-based solvers extend shared sample streams instead of regenerating
+// their pools from scratch.
 //
 // Determinism contract: a warm-swept cell is bit-identical (allocation,
 // ranking, objective, pool sizes) to running the same solver cold on that
@@ -58,8 +57,8 @@ struct SweepSpec {
   /// overwritten by the runner.
   SolverOptions options;
 
-  /// Monte-Carlo simulations for welfare evaluation per cell (0 = skip;
-  /// also skipped when `params` is unset).
+  /// Welfare simulations per cell under `model`, at most kMaxEvalSims
+  /// (exp/solve.h); 0, or an unset `params`, skips the estimate.
   size_t eval_simulations = 400;
   uint64_t eval_seed = 999;
 
@@ -123,18 +122,16 @@ class SweepRunner {
 
   /// Run every (algorithm, budget point) cell, algorithms outer, budget
   /// points inner, all sharing this runner's stream cache. Fails fast on
-  /// an invalid spec or the first failing Solve.
+  /// an invalid spec or the first failing cell.
   [[nodiscard]] Result<SweepReport> Run();
-
-  /// The cache the runner threads through every Solve (exposed so callers
-  /// can chain additional sweeps over the same network, or inspect
-  /// `stats()`).
-  RrStreamCache& cache() { return cache_; }
 
  private:
   SweepSpec spec_;
   RrStreamCache cache_;
 };
+
+/// "b=10,10": SweepRow::setting, and the setting column of uic_run.
+std::string BudgetLabel(const std::vector<uint32_t>& budgets);
 
 /// \brief Parse a comma-separated list of non-negative uint32 budgets
 /// (e.g. "20,40"); rejects empty entries, non-digits, and overflow with

@@ -80,6 +80,13 @@ Result<Graph> GraphBuilder::Build() {
                            }),
                edges_.end());
 
+  // The CSR offsets are uint32_t, indexed up to num_nodes + 1.
+  if (num_nodes_ == UINT32_MAX || edges_.size() > UINT32_MAX) {
+    return Status::InvalidArgument(
+        "graph does not fit 32-bit CSR offsets: it needs fewer than "
+        "2^32 - 1 nodes and 2^32 edges");
+  }
+
   Graph g;
   g.num_nodes_ = num_nodes_;
   const size_t m = edges_.size();

@@ -123,7 +123,8 @@ class GraphBuilder {
 
   size_t num_pending_edges() const { return edges_.size(); }
 
-  /// Assemble the CSR structures. Fails if an endpoint is out of range.
+  /// Assemble the CSR structures. Fails if an endpoint is out of range,
+  /// or if num_nodes + 1 or the edge count overflows the uint32_t offsets.
   [[nodiscard]] Result<Graph> Build();
 
  private:

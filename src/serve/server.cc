@@ -8,12 +8,10 @@
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "diffusion/lt_model.h"
-#include "diffusion/uic_model.h"
+#include "exp/solve.h"
 #include "items/itemset.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "solver/registry.h"
 
 namespace uic {
 namespace serve {
@@ -460,144 +458,108 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
   problem.model = lt ? DiffusionModel::kLinearThreshold
                      : DiffusionModel::kIndependentCascade;
 
-  SolverOptions options;
+  // Only the JSON types are read here; CheckSolve owns the limits.
+  SolveSpec spec;
+  spec.algorithm = GetStringField(body, "algorithm", "bundle-grd");
   Result<long long> seed = GetIntField(body, "seed", 1, 0, INT64_MAX);
   if (!seed.ok()) return seed.status();
-  options.seed = static_cast<uint64_t>(seed.value());
-  Result<double> eps = GetNumberField(body, "eps", 0.5, 1e-6, 1.0);
+  spec.options.seed = static_cast<uint64_t>(seed.value());
+  Result<double> eps = GetNumberField(body, "eps", spec.options.eps);
   if (!eps.ok()) return eps.status();
-  options.eps = eps.value();
-  Result<double> ell = GetNumberField(body, "ell", 1.0, 1e-6, 16.0);
+  spec.options.eps = eps.value();
+  Result<double> ell = GetNumberField(body, "ell", spec.options.ell);
   if (!ell.ok()) return ell.status();
-  options.ell = ell.value();
-  options.rr_options.linear_threshold = lt;
-
-  const std::string algorithm = GetStringField(body, "algorithm",
-                                               "bundle-grd");
-  Result<long long> eval_sims =
-      GetIntField(body, "eval_sims", 0, 0, 1000000);
+  spec.options.ell = ell.value();
+  Result<long long> eval_sims = GetIntField(body, "eval_sims", 0);
   if (!eval_sims.ok()) return eval_sims.status();
+  spec.eval_sims = eval_sims.value();
   Result<long long> eval_seed =
       GetIntField(body, "eval_seed", 20190701, 0, INT64_MAX);
   if (!eval_seed.ok()) return eval_seed.status();
+  spec.eval_seed = static_cast<uint64_t>(eval_seed.value());
   const Json* warm_field = body.Find("warm");
   if (warm_field != nullptr && !warm_field->is_bool()) {
     return Status::InvalidArgument("'warm' must be a boolean");
   }
   const bool warm = warm_field == nullptr || warm_field->AsBool(true);
+  // Before the lease: a rejected request must leave no warm entry.
+  UIC_RETURN_NOT_OK(CheckSolve(problem, spec));
 
   // Warm path: exclusive lease on the shared pool for (generation, seed,
-  // LT). Cold path ('warm':false): a private cache, so the request still
-  // reports exact sampled counts — the payload is identical either way by
-  // the RrStreamCache replay contract.
-  RrStreamCache cold_cache;
+  // LT). Cold path ('warm':false): RunSolve's private cache, so the
+  // request still reports exact sampled counts — the payload is identical
+  // either way by the RrStreamCache replay contract.
   WarmLease lease;
-  RrStreamCache* cache = &cold_cache;
-  bool warm_hit = false;
   if (warm) {
     obs::TraceSpan acquire_span("serve.warm_acquire");
     WarmKey key;
     key.generation = graph.generation;
-    key.seed = options.seed;
+    key.seed = spec.options.seed;
     key.linear_threshold = lt;
     lease = warm_.Acquire(key, graph.graph);
-    cache = lease.cache();
-    warm_hit = lease.hit();
-    acquire_span.SetAttr("hit", warm_hit ? 1 : 0);
+    acquire_span.SetAttr("hit", lease.hit() ? 1 : 0);
   }
-  const RrStreamCache::Stats before = cache->stats();
-  options.rr_options.stream_cache = cache;
-
-  WallTimer timer;
-  Result<std::unique_ptr<Solver>> solver =
-      SolverRegistry::CreateOrError(algorithm, options);
-  if (!solver.ok()) return solver.status();
-  Result<AllocationResult> solved = [&] {
-    obs::TraceSpan solver_span("solver.solve");
-    return solver.value()->Solve(problem);
-  }();
-  const double solve_ms = timer.ElapsedMillis();
-  *solve_ms_out = solve_ms;
-  const RrStreamCache::Stats after = cache->stats();
-  // Hand the pool back before the (cache-independent) welfare evaluation
-  // so a same-key request can start solving during our eval.
-  lease.Release();
-  if (!solved.ok()) return solved.status();
-  const AllocationResult& allocation_result = solved.value();
 
   // Cheap deadline checks at solve-phase boundaries: a request that blows
   // its end-to-end budget mid-solve must not return a full result late.
   // The client gets progress stats, never a payload it could mistake for
   // the answer it stopped waiting for.
-  const auto deadline_expired = [&]() {
-    return deadline_ms > 0.0 && request_timer.ElapsedMillis() > deadline_ms;
-  };
-  const auto deadline_status = [&]() -> Status {
+  const auto check_deadline = [&](const SolveOutcome& outcome) -> Status {
+    if (deadline_ms <= 0.0 || request_timer.ElapsedMillis() <= deadline_ms) {
+      return Status::OK();
+    }
     *partial = Json::Object();
-    partial->Set("num_rr_sets",
-                 Json::Int(static_cast<long long>(
-                     allocation_result.num_rr_sets)));
-    partial->Set("rr_sets_sampled",
-                 Json::Int(static_cast<long long>(after.sampled_sets -
-                                                  before.sampled_sets)));
-    partial->Set("rr_sets_served",
-                 Json::Int(static_cast<long long>(after.served_sets -
-                                                  before.served_sets)));
+    partial->Set("num_rr_sets", Json::Int(static_cast<long long>(
+                                    outcome.result.num_rr_sets)));
+    partial->Set("rr_sets_sampled", Json::Int(static_cast<long long>(
+                                        outcome.rr_sets_sampled)));
+    partial->Set("rr_sets_served", Json::Int(static_cast<long long>(
+                                       outcome.rr_sets_served)));
     return Status::DeadlineExceeded(
         "request exceeded its deadline_ms mid-solve");
   };
-  if (deadline_expired()) return deadline_status();
+  WallTimer timer;
+  Result<SolveOutcome> solved =
+      RunSolve(problem, spec, lease.cache(), [&](const SolveOutcome& outcome) {
+        *solve_ms_out = timer.ElapsedMillis();
+        // Hand the pool back before the (cache-independent) welfare
+        // estimate so a same-key request can start solving during it.
+        lease.Release();
+        return check_deadline(outcome);
+      });
+  if (!solved.ok()) return solved.status();
+  const SolveOutcome& outcome = solved.value();
+  // Boundary #2: Monte-Carlo evaluation can dominate the request when
+  // eval_sims is large, so re-check before shipping the result.
+  if (outcome.welfare.has_value()) UIC_RETURN_NOT_OK(check_deadline(outcome));
 
   Json result = Json::Object();
-  result.Set("algorithm", Json::Str(solver.value()->name()));
+  result.Set("algorithm", Json::Str(outcome.algorithm));
   result.Set("model", Json::Str(model));
   result.Set("seed", Json::Int(seed.value()));
-  result.Set("allocation", AllocationToJson(allocation_result.allocation));
-  result.Set("num_rr_sets",
-             Json::Int(static_cast<long long>(
-                 allocation_result.num_rr_sets)));
-  result.Set("objective", Json::Number(allocation_result.objective));
-  if (problem.params.has_value() && eval_sims.value() > 0) {
-    obs::TraceSpan estimate_span("serve.estimate");
-    UIC_METRIC_TIMING_COUNTER(
-        estimate_us, "uic_solver_phase_us_total", "phase=\"estimate\"",
-        "Wall time per solve phase, microseconds.");
-    WallTimer estimate_timer;
-    const WelfareEstimate estimate =
-        lt ? EstimateWelfareLt(*problem.graph,
-                               allocation_result.allocation,
-                               *problem.params,
-                               static_cast<size_t>(eval_sims.value()),
-                               static_cast<uint64_t>(eval_seed.value()))
-           : EstimateWelfare(*problem.graph, allocation_result.allocation,
-                             *problem.params,
-                             static_cast<size_t>(eval_sims.value()),
-                             static_cast<uint64_t>(eval_seed.value()));
-    estimate_us.Add(
-        static_cast<uint64_t>(estimate_timer.ElapsedMillis() * 1000.0));
+  result.Set("allocation", AllocationToJson(outcome.result.allocation));
+  result.Set("num_rr_sets", Json::Int(static_cast<long long>(
+                                outcome.result.num_rr_sets)));
+  result.Set("objective", Json::Number(outcome.result.objective));
+  if (outcome.welfare.has_value()) {
     Json welfare = Json::Object();
-    welfare.Set("welfare", Json::Number(estimate.welfare));
-    welfare.Set("std_error", Json::Number(estimate.std_error));
-    welfare.Set("avg_adopters", Json::Number(estimate.avg_adopters));
-    welfare.Set("avg_adoptions", Json::Number(estimate.avg_adoptions));
+    welfare.Set("welfare", Json::Number(outcome.welfare->welfare));
+    welfare.Set("std_error", Json::Number(outcome.welfare->std_error));
+    welfare.Set("avg_adopters", Json::Number(outcome.welfare->avg_adopters));
+    welfare.Set("avg_adoptions", Json::Number(outcome.welfare->avg_adoptions));
     result.Set("welfare", std::move(welfare));
-    // Boundary #2: Monte-Carlo evaluation can dominate the request when
-    // eval_sims is large, so re-check before shipping the result.
-    if (deadline_expired()) return deadline_status();
   }
 
   *serve_info = Json::Object();
   serve_info->Set("warm", Json::Bool(warm));
-  serve_info->Set("warm_hit", Json::Bool(warm_hit));
+  serve_info->Set("warm_hit", Json::Bool(lease.hit()));
   serve_info->Set("rr_sets_sampled",
-                  Json::Int(static_cast<long long>(after.sampled_sets -
-                                                   before.sampled_sets)));
+                  Json::Int(static_cast<long long>(outcome.rr_sets_sampled)));
   serve_info->Set("rr_sets_served",
-                  Json::Int(static_cast<long long>(after.served_sets -
-                                                   before.served_sets)));
+                  Json::Int(static_cast<long long>(outcome.rr_sets_served)));
   if (options_.include_timing) {
     serve_info->Set("queued_ms", Json::Number(queued_ms));
-    serve_info->Set("solve_ms", Json::Number(solve_ms));
+    serve_info->Set("solve_ms", Json::Number(*solve_ms_out));
   }
   return result;
 }

@@ -80,21 +80,20 @@ struct BdhsSolverOptions {
 /// binaries historically hard-wired. `rr_options` reaches every RR-set
 /// sampler a solver invokes (bundle-grd, item-disj, bundle-disj).
 struct SolverOptions {
-  double eps = 0.5;       ///< approximation slack ε of the sampling bounds
-  double ell = 1.0;       ///< failure exponent: guarantee w.p. ≥ 1 − 1/n^ℓ
+  double eps = 0.5;       ///< approximation slack ε, in [1e-6, 1]
+  double ell = 1.0;       ///< guarantee w.p. ≥ 1 − 1/n^ℓ; ℓ in [1e-6, 16]
   uint64_t seed = 1;      ///< RNG seed; results are deterministic in it
   unsigned workers = 0;   ///< worker threads (0 = hardware concurrency)
 
   /// RR sampling semantics for the IMM/PRIMA-based solvers. The problem's
   /// DiffusionModel still wins: kLinearThreshold forces LT sampling.
   ///
-  /// `rr_options.stream_cache` is the pool-reuse hook the sweep engine
-  /// uses (exp/sweep.h): point it at an `RrStreamCache` and every RR pool
-  /// the solver builds — PRIMA/IMM phase pools, regeneration pools, the
-  /// Com-IC coin pools — is served warm from the cache, sampling only the
-  /// delta past its high-water mark. Allocations are bit-identical to a
-  /// cold run; the cache must outlive the Solve call and is not
-  /// thread-safe across concurrent solves.
+  /// `rr_options.stream_cache` is the pool-reuse hook RunSolve sets
+  /// (exp/solve.h): every RR pool the solver builds — PRIMA/IMM phase
+  /// pools, regeneration pools, the Com-IC coin pools — is served from the
+  /// cache, sampling only the delta past its high-water mark. Allocations
+  /// are bit-identical to a cold run; the cache must outlive the Solve
+  /// call and is not thread-safe across concurrent solves.
   RrOptions rr_options;
 
   McGreedySolverOptions mc_greedy;

@@ -122,19 +122,6 @@ std::unique_ptr<Solver> SolverRegistry::Create(const std::string& name,
   return nullptr;
 }
 
-Result<std::unique_ptr<Solver>> SolverRegistry::CreateOrError(
-    const std::string& name, const SolverOptions& options) {
-  std::unique_ptr<Solver> solver = Create(name, options);
-  if (solver != nullptr) return solver;
-  std::string known;
-  for (const std::string& n : ListSolvers()) {
-    if (!known.empty()) known += ", ";
-    known += n;
-  }
-  return Status::NotFound("no solver named '" + name +
-                          "' (registered: " + known + ")");
-}
-
 std::vector<std::string> SolverRegistry::ListSolvers() {
   std::vector<std::string> names;
   for (const Solver::Row& row : kSolvers) names.emplace_back(row.name);

@@ -6,7 +6,7 @@
 // (see PAPER.md for the roster↔name table). The table never changes at
 // run time, so lookups take no lock. Adding an algorithm means adding one
 // row there; uic_run, the bench binaries, the sweep engine and the daemon
-// all go through ListSolvers()/Create().
+// all solve through exp/solve.h, which calls Create().
 #pragma once
 
 #include <memory>
@@ -20,15 +20,10 @@ namespace uic {
 class SolverRegistry {
  public:
   /// Construct the solver named `name` (matched case-insensitively).
-  /// Returns nullptr for an unknown name — callers that want a message
-  /// use CreateOrError.
+  /// Returns nullptr for an unknown name — exp/solve.h's CheckSolve turns
+  /// that into a NotFound listing the table.
   static std::unique_ptr<Solver> Create(const std::string& name,
                                         const SolverOptions& options = {});
-
-  /// As Create, but an unknown name yields Status::NotFound listing the
-  /// known solvers.
-  [[nodiscard]] static Result<std::unique_ptr<Solver>> CreateOrError(
-      const std::string& name, const SolverOptions& options = {});
 
   /// The table's names, sorted. Every name constructs via Create.
   static std::vector<std::string> ListSolvers();

@@ -42,11 +42,12 @@ Status Solver::Validate(const WelfareProblem& problem) const {
         "problem.params has " + Describe(problem.params->num_items()) +
         " items but problem.budgets has " + Describe(problem.budgets.size()));
   }
-  if (options_.eps <= 0.0) {
-    return Status::InvalidArgument("options.eps must be positive");
+  // Negated so NaN fails too.
+  if (!(options_.eps >= 1e-6 && options_.eps <= 1.0)) {
+    return Status::InvalidArgument("options.eps must be in [1e-6, 1]");
   }
-  if (options_.ell <= 0.0) {
-    return Status::InvalidArgument("options.ell must be positive");
+  if (!(options_.ell >= 1e-6 && options_.ell <= 16.0)) {
+    return Status::InvalidArgument("options.ell must be in [1e-6, 16]");
   }
 
   const Traits t = traits();

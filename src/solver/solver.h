@@ -54,9 +54,13 @@ class Solver {
 
   Traits traits() const { return row_.traits; }
 
+  /// Check `problem` and the options against this solver: InvalidArgument
+  /// / FailedPrecondition / OutOfRange with a message naming the offending
+  /// field. The options' limits are eps in [1e-6, 1] and ell in [1e-6, 16].
+  [[nodiscard]] Status Validate(const WelfareProblem& problem) const;
+
   /// Validate `problem`, then run the algorithm. Never crashes on
-  /// malformed input; returns InvalidArgument / FailedPrecondition /
-  /// OutOfRange with a message naming the offending field.
+  /// malformed input.
   [[nodiscard]] Result<AllocationResult> Solve(const WelfareProblem& problem);
 
   const SolverOptions& options() const { return options_; }
@@ -66,8 +70,6 @@ class Solver {
 
   Solver(const Row& row, SolverOptions options)
       : row_(row), name_(row.name), options_(std::move(options)) {}
-
-  [[nodiscard]] Status Validate(const WelfareProblem& problem) const;
 
   const Row& row_;
   std::string name_;

@@ -63,6 +63,16 @@ run_and_compare(bundle_grd_report_workers_8 uic_run_bundle_grd.txt
   --algorithm bundle-grd --network er --nodes 200 --edges 1200 --net-seed 5
   --budget 3 --mc 200 --eval-seed 9 --seed 4 --workers 8 --no-timing)
 
+# The same instance under LT: welfare is estimated under the model the
+# allocation was chosen for (the daemon's answer too), at every worker
+# count.
+foreach(workers 1 2 8)
+  run_and_compare(lt_report_workers_${workers} uic_run_lt.txt
+    --algorithm bundle-grd --network er --nodes 200 --edges 1200 --net-seed 5
+    --budget 3 --mc 200 --eval-seed 9 --seed 4 --workers ${workers}
+    --model lt --no-timing)
+endforeach()
+
 run_and_compare(bdhs_report uic_run_bdhs.txt
   --algorithm bdhs --network er --nodes 150 --edges 900 --net-seed 5
   --budget 2 --mc 100 --eval-seed 9 --seed 4 --workers 2 --no-timing)
@@ -107,7 +117,30 @@ expect_exit(negative_scale 1
 expect_exit(probability_above_one 1
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --p 2.5)
 
+# Solve limits shared with the daemon (exp/solve.h): each once crashed
+# uic_run (bad_alloc, SIGFPE) or, for eps, overflowed theta silently.
+expect_exit(ell_above_max 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --ell 1e9)
+expect_exit(eps_below_min 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --eps 1e-9)
+expect_exit(negative_mc 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc -1)
+# A node count whose + 1 wraps the 32-bit CSR offsets (once SIGSEGV), from
+# a file and from the generator.
+file(WRITE ${WORK_DIR}/wrap_graph.txt "nodes 4294967295\nedges 0\n")
+expect_exit(graph_file_nodes_wrap 1
+  --algorithm bundle-grd --graph ${WORK_DIR}/wrap_graph.txt)
+expect_exit(er_nodes_wrap 1
+  --algorithm bundle-grd --network er --nodes 4294967295 --edges 0
+  --config none)
+
 # Usage errors: exit 2.
+# --workers is bounded before any thread starts.
+expect_exit(negative_workers 2
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --workers -1)
+expect_exit(workers_above_max 2
+  --algorithm bundle-grd --network er --nodes 50 --edges 200
+  --workers 100000)
 expect_exit(malformed_numeric_flag 2
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --budget xyz)
 expect_exit(malformed_budget_list 2

@@ -56,8 +56,8 @@ endforeach()
 
 # --- usage errors exit 2 ----------------------------------------------
 
-foreach(bad_flags "--workers;-1" "--concurrency;0" "--queue-capacity;-3"
-        "--port;70000" "--concurrency;abc")
+foreach(bad_flags "--workers;-1" "--workers;100000" "--concurrency;0"
+        "--queue-capacity;-3" "--port;70000" "--concurrency;abc")
   execute_process(
     COMMAND ${UIC_SERVED} ${bad_flags}
     OUTPUT_QUIET ERROR_QUIET

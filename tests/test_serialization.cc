@@ -166,6 +166,15 @@ TEST(GraphSerialization, RejectsCorruptHeadersAndEdges) {
     out << "nodes 3\nedges 2\n0 1 0.5\n0 1 0.5\n";
   }
   EXPECT_FALSE(LoadGraph(file.path()).ok());
+  {
+    std::ofstream out(file.path());
+    // num_nodes + 1 would wrap the 32-bit CSR offsets to 0 and the
+    // prefix sum would write out of bounds.
+    out << "nodes 4294967295\nedges 0\n";
+  }
+  Result<Graph> wrapped = LoadGraph(file.path());
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_EQ(wrapped.status().code(), Status::Code::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------- ItemParams

@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -720,13 +722,19 @@ void ExpectStillServes(Server& server) {
 TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
   // Each of these once ended the daemon: the first two in a generator
   // CHECK, the third in a bad_alloc from reserving for edges the graph
-  // cannot hold, the fourth in the ItemParams item-count CHECK. The last
-  // once fell back to scale 0.3 silently. Now each gets its reply and the
-  // daemon keeps serving.
+  // cannot hold, the fourth in the ItemParams item-count CHECK, the last
+  // two in an out-of-bounds write (a node count of 2^32 - 1 wraps the
+  // 32-bit CSR offsets). The fifth once fell back to scale 0.3 silently.
+  // Now each gets its reply and the daemon keeps serving.
   struct Case {
-    const char* request;
+    std::string request;
     const char* want;
   };
+  const std::string wrap_path = ::testing::TempDir() + "uic_wrap_graph.txt";
+  {
+    std::ofstream out(wrap_path);
+    out << "nodes 4294967295\nedges 0\n";
+  }
   const Case kCases[] = {
       {"{\"id\":40,\"verb\":\"load_graph\",\"name\":\"g1\",\"network\":\"er\","
        "\"nodes\":1}",
@@ -744,6 +752,12 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
       {"{\"id\":44,\"verb\":\"load_graph\",\"name\":\"gs\","
        "\"network\":\"flixster\",\"scale\":0}",
        "\"code\":\"bad_request\""},
+      {"{\"id\":45,\"verb\":\"load_graph\",\"name\":\"gw\",\"path\":\"" +
+           wrap_path + "\"}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":46,\"verb\":\"load_graph\",\"name\":\"gn\",\"network\":\"er\","
+       "\"nodes\":4294967295,\"edges\":0}",
+       "\"code\":\"bad_request\""},
   };
   Server server(GoldenOptions());
   LoadFixtures(server);
@@ -753,6 +767,44 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
     EXPECT_NE(response.find(c.want), std::string::npos) << response;
     ExpectStillServes(server);
   }
+  std::remove(wrap_path.c_str());
+}
+
+TEST(ServeServer, RejectedSolvesLeaveNoWarmEntry) {
+  // A solve is checked before the warm lease is taken. The first two once
+  // left an entry behind, so the next valid solve of the key reported a
+  // warm hit while it sampled every set; the eps and eval_sims limits,
+  // which moved into CheckSolve, must stay ahead of the lease too.
+  struct Case {
+    const char* request;
+    const char* code;
+  };
+  const Case kCases[] = {
+      {"{\"id\":60,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"seed\":4,\"algorithm\":\"nope\"}",
+       "not_found"},
+      {"{\"id\":61,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[400,3],\"seed\":4}",
+       "bad_request"},
+      {"{\"id\":62,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"seed\":4,\"eps\":1e-9}",
+       "bad_request"},
+      {"{\"id\":63,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"seed\":4,\"eval_sims\":2000000}",
+       "bad_request"},
+  };
+  Server server(GoldenOptions());
+  LoadFixtures(server);
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.request);
+    ExpectErrorCode(server.HandleLine(c.request), c.code);
+  }
+  const Json stats = server.Stats();
+  EXPECT_EQ(stats.Find("warm_cache")->Find("entries")->AsInt(), 0);
+  EXPECT_EQ(stats.Find("warm_cache")->Find("misses")->AsInt(), 0);
+  Result<Json> valid = Json::Parse(server.HandleLine(kSolveWarm));
+  ASSERT_TRUE(valid.ok());
+  EXPECT_FALSE(valid.value().Find("serve")->Find("warm_hit")->AsBool());
 }
 
 TEST_F(FailpointServer, EveryInjectedFailureYieldsATypedErrorThenRecovers) {

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <utility>
 
 #include "bdhs/bdhs.h"
 #include "comic/rr_sim.h"
@@ -12,6 +14,7 @@
 #include "core/bundle_grd.h"
 #include "core/mc_greedy.h"
 #include "exp/configs.h"
+#include "exp/solve.h"
 #include "graph/generators.h"
 #include "items/gap.h"
 
@@ -55,11 +58,14 @@ TEST(SolverRegistry, ListsTheSevenBuiltins) {
 
 TEST(SolverRegistry, CreateUnknownName) {
   EXPECT_EQ(SolverRegistry::Create("no-such-algorithm"), nullptr);
-  const auto result = SolverRegistry::CreateOrError("no-such-algorithm");
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), Status::Code::kNotFound);
+  const Graph g = TestGraph(1);
+  SolveSpec spec;
+  spec.algorithm = "no-such-algorithm";
+  const Status status = CheckSolve(TwoItemProblem(g), spec);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), Status::Code::kNotFound);
   // The message teaches the caller what IS registered.
-  EXPECT_NE(result.status().message().find("bundle-grd"), std::string::npos);
+  EXPECT_NE(status.message().find("bundle-grd"), std::string::npos);
 }
 
 TEST(SolverRegistry, CreateIsCaseInsensitive) {
@@ -231,6 +237,20 @@ TEST(SolverApi, RejectsNonPositiveEpsAndEll) {
                ->Solve(TwoItemProblem(g));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
+
+  // The limits every front end shares: eps in [1e-6, 1], ell in [1e-6, 16];
+  // NaN is outside both.
+  const std::pair<double, double> kOutOfRange[] = {
+      {1e-9, 1.0}, {1.5, 1.0}, {0.5, 1e9}, {std::nan(""), 1.0}};
+  for (const auto& [eps, ell] : kOutOfRange) {
+    options.eps = eps;
+    options.ell = ell;
+    const Status status =
+        SolverRegistry::Create("bundle-grd", options)->Validate(
+            TwoItemProblem(g));
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+        << eps << " " << ell;
+  }
 }
 
 // ---- Table row vs direct call of the algorithm, fixed seeds -----------

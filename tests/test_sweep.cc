@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "exp/configs.h"
-#include "exp/suite.h"
 #include "graph/generators.h"
+#include "solver/registry.h"
 
 namespace uic {
 namespace {
@@ -55,8 +55,10 @@ TEST(SweepRunner, WarmCellsBitIdenticalToIndependentColdSolves) {
     problem.graph = &graph;
     problem.params = spec.params;
     problem.budgets = row.budgets;
-    const AllocationResult cold =
-        MustSolve(row.algorithm, problem, spec.options);
+    Result<AllocationResult> solved =
+        SolverRegistry::Create(row.algorithm, spec.options)->Solve(problem);
+    ASSERT_TRUE(solved.ok()) << solved.status().ToString();
+    const AllocationResult& cold = solved.value();
     EXPECT_EQ(row.result.allocation.entries(), cold.allocation.entries())
         << row.algorithm << " " << row.setting;
     EXPECT_EQ(row.result.ranking, cold.ranking)
