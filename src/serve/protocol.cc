@@ -60,10 +60,14 @@ Result<Request> ParseRequest(const std::string& line) {
   return request;
 }
 
-std::string GetStringField(const Json& body, const char* key,
-                           const std::string& def) {
+Result<std::string> GetStringField(const Json& body, const char* key,
+                                   const std::string& def) {
   const Json* field = body.Find(key);
-  if (field == nullptr || !field->is_string()) return def;
+  if (field == nullptr) return def;
+  if (!field->is_string()) {
+    return Status::InvalidArgument(std::string("'") + key +
+                                   "' must be a string");
+  }
   return field->AsString();
 }
 

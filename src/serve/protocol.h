@@ -17,7 +17,7 @@
 // hit, RR sets sampled vs reused, queue/solve latency) — or
 // `{"id":...,"ok":false,"error":{"code":...,"message":...}}` on failure.
 // `id` is echoed verbatim (number, string, or null when absent) so
-// clients can pipeline. The verb roster lives in serve/server.h; this
+// clients can pipeline. The verbs are the table in serve/server.cc; this
 // header is only the envelope: parsing, error codes, response framing.
 #pragma once
 
@@ -71,9 +71,10 @@ struct Request {
 // --- request-body fields ----------------------------------------------
 // Each reader returns `def` when `key` is absent.
 
-/// A string field; `def` for a value of any other type too.
-std::string GetStringField(const Json& body, const char* key,
-                           const std::string& def = "");
+/// A string field; InvalidArgument for a value of any other type.
+[[nodiscard]] Result<std::string> GetStringField(const Json& body,
+                                                 const char* key,
+                                                 const std::string& def = "");
 
 /// An integer field in [lo, hi]; InvalidArgument for anything else.
 [[nodiscard]] Result<long long> GetIntField(const Json& body, const char* key,

@@ -5,42 +5,10 @@
 
 #include "common/failpoint.h"
 #include "common/timer.h"
-#include "obs/metrics.h"
+#include "serve/instruments.h"
 
 namespace uic {
 namespace serve {
-
-namespace {
-
-// Registry mirrors of the controller's own tallies (which feed the stats
-// verb): the gauges track live queue/slot occupancy, the counters the
-// rejection reasons. Updated under mu_, so one mirror per event.
-struct AdmissionInstruments {
-  obs::Gauge& queue_depth;
-  obs::Gauge& running;
-  obs::Counter& admitted;
-  obs::Counter& shed;
-  obs::Counter& deadline_exceeded;
-};
-
-AdmissionInstruments& AdmissionMetrics() {
-  UIC_METRIC_GAUGE(queue_depth, "uic_serve_queue_depth",
-                   "Requests waiting for an admission slot right now.");
-  UIC_METRIC_GAUGE(running, "uic_serve_running",
-                   "Requests holding an admission slot right now.");
-  UIC_METRIC_COUNTER(admitted, "uic_serve_admitted_total",
-                     "Requests granted an admission slot.");
-  UIC_METRIC_COUNTER(shed, "uic_serve_shed_total",
-                     "Requests shed because the admission queue was full.");
-  UIC_METRIC_COUNTER(
-      deadline_exceeded, "uic_serve_queue_deadline_exceeded_total",
-      "Requests whose deadline_ms expired while they were queued.");
-  static AdmissionInstruments instruments{queue_depth, running, admitted,
-                                          shed, deadline_exceeded};
-  return instruments;
-}
-
-}  // namespace
 
 AdmissionController::AdmissionController(Options options)
     : options_(options) {}
@@ -53,16 +21,14 @@ AdmissionController::Decision AdmissionController::Admit(double deadline_ms,
   // server. Evaluated before the lock: a delay must never hold mu_.
   const failpoint::Hit fp = UIC_FAILPOINT("serve.scheduler.admit");
   failpoint::SleepFor(fp);
-  AdmissionInstruments& metrics = AdmissionMetrics();
+  ServeInstruments& metrics = Instruments();
   MutexLock lock(mu_);
   if (fp.action == failpoint::Action::kError) {
-    ++shed_;
     metrics.shed.Add();
     return Decision::kShed;
   }
   if (draining_) return Decision::kDraining;
   if (waiting_.size() >= options_.queue_capacity) {
-    ++shed_;
     metrics.shed.Add();
     return Decision::kShed;
   }
@@ -81,7 +47,6 @@ AdmissionController::Decision AdmissionController::Admit(double deadline_ms,
     if (running_ < options_.concurrency && waiting_.front() == ticket) {
       waiting_.erase(waiting_.begin());
       ++running_;
-      ++admitted_;
       metrics.queue_depth.Set(static_cast<long long>(waiting_.size()));
       metrics.running.Set(static_cast<long long>(running_));
       metrics.admitted.Add();
@@ -91,8 +56,7 @@ AdmissionController::Decision AdmissionController::Admit(double deadline_ms,
     if (deadline_ms > 0.0) {
       const double remaining_ms = deadline_ms - timer.ElapsedMillis();
       if (remaining_ms <= 0.0) {
-        ++deadline_exceeded_;
-        metrics.deadline_exceeded.Add();
+        metrics.queue_deadline_exceeded.Add();
         // Removing a non-head ticket can promote the next waiter to head
         // while a slot is free; wake everyone to re-check.
         waiting_.erase(std::find(waiting_.begin(), waiting_.end(), ticket));
@@ -112,7 +76,7 @@ AdmissionController::Decision AdmissionController::Admit(double deadline_ms,
 void AdmissionController::Release() {
   MutexLock lock(mu_);
   --running_;
-  AdmissionMetrics().running.Set(static_cast<long long>(running_));
+  Instruments().running.Set(static_cast<long long>(running_));
   wake_.NotifyAll();
 }
 
@@ -137,10 +101,6 @@ Json AdmissionController::Describe() const {
   out.Set("queued", Json::Int(static_cast<long long>(waiting_.size())));
   out.Set("max_queue_depth",
           Json::Int(static_cast<long long>(max_queue_depth_)));
-  out.Set("admitted", Json::Int(static_cast<long long>(admitted_)));
-  out.Set("shed", Json::Int(static_cast<long long>(shed_)));
-  out.Set("deadline_exceeded",
-          Json::Int(static_cast<long long>(deadline_exceeded_)));
   return out;
 }
 

@@ -62,7 +62,9 @@ class AdmissionController {
   /// Block until no request is running or queued (the drain barrier).
   void AwaitIdle();
 
-  /// Queue/counter snapshot for the `stats` verb.
+  /// Slot and queue state for the `stats` verb. The admitted, shed and
+  /// deadline-exceeded events are counted on the registry only
+  /// (serve/instruments.h).
   Json Describe() const;
 
  private:
@@ -75,9 +77,7 @@ class AdmissionController {
   std::vector<uint64_t> waiting_ UIC_GUARDED_BY(mu_);
   uint64_t next_ticket_ UIC_GUARDED_BY(mu_) = 1;
   bool draining_ UIC_GUARDED_BY(mu_) = false;
-  uint64_t admitted_ UIC_GUARDED_BY(mu_) = 0;
-  uint64_t shed_ UIC_GUARDED_BY(mu_) = 0;
-  uint64_t deadline_exceeded_ UIC_GUARDED_BY(mu_) = 0;
+  /// High-water mark of this controller's queue (no registry twin).
   size_t max_queue_depth_ UIC_GUARDED_BY(mu_) = 0;
 };
 

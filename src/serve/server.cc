@@ -1,7 +1,9 @@
 #include "serve/server.h"
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,103 +12,26 @@
 #include "common/timer.h"
 #include "exp/solve.h"
 #include "items/itemset.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/instruments.h"
 
 namespace uic {
 namespace serve {
 
 namespace {
 
-/// The request-accounting instruments the stats verb reads. Bundled so the
-/// Server constructor can snapshot all four baselines from one place.
-struct RequestInstruments {
-  obs::Counter& ok;
-  obs::Counter& errors;
-  obs::Counter& solves;
-  obs::Histogram& solve_latency_ms;
-};
-
-RequestInstruments& RequestAccounting() {
-  UIC_METRIC_COUNTER_LABELED(
-      ok, "uic_serve_requests_total", "status=\"ok\"",
-      "Requests answered, by final response status.");
-  UIC_METRIC_COUNTER_LABELED(
-      errors, "uic_serve_requests_total", "status=\"error\"",
-      "Requests answered, by final response status.");
-  UIC_METRIC_COUNTER(
-      solves, "uic_serve_solves_total",
-      "Solve requests answered ok (deadline-exceeded solves are errors).");
-  UIC_METRIC_HISTOGRAM_MS(
-      solve_latency_ms, "uic_serve_solve_latency_ms", "",
-      "Solver wall time per ok solve response, milliseconds.");
-  static RequestInstruments instruments{ok, errors, solves,
-                                        solve_latency_ms};
-  return instruments;
-}
-
-/// Per-verb completion counter. The roster is closed (unknown verbs fall
-/// into one bucket), so every series exists from first use with a literal
-/// label — the exposition schema never depends on client input.
-void AccountVerb(const std::string& verb) {
-  UIC_METRIC_COUNTER_LABELED(c_ping, "uic_serve_verb_requests_total",
-                             "verb=\"ping\"", "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_stats, "uic_serve_verb_requests_total",
-                             "verb=\"stats\"", "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_metrics, "uic_serve_verb_requests_total",
-                             "verb=\"metrics\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_shutdown, "uic_serve_verb_requests_total",
-                             "verb=\"shutdown\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_set_failpoints,
-                             "uic_serve_verb_requests_total",
-                             "verb=\"set_failpoints\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_unload, "uic_serve_verb_requests_total",
-                             "verb=\"unload\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_load_graph, "uic_serve_verb_requests_total",
-                             "verb=\"load_graph\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_load_params, "uic_serve_verb_requests_total",
-                             "verb=\"load_params\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_solve, "uic_serve_verb_requests_total",
-                             "verb=\"solve\"", "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_other, "uic_serve_verb_requests_total",
-                             "verb=\"other\"", "Requests answered, by verb.");
-  if (verb == "solve") {
-    c_solve.Add();
-  } else if (verb == "ping") {
-    c_ping.Add();
-  } else if (verb == "stats") {
-    c_stats.Add();
-  } else if (verb == "metrics") {
-    c_metrics.Add();
-  } else if (verb == "load_graph") {
-    c_load_graph.Add();
-  } else if (verb == "load_params") {
-    c_load_params.Add();
-  } else if (verb == "unload") {
-    c_unload.Add();
-  } else if (verb == "shutdown") {
-    c_shutdown.Add();
-  } else if (verb == "set_failpoints") {
-    c_set_failpoints.Add();
-  } else {
-    c_other.Add();
-  }
-}
-
-/// One accounting path for every answered request (including lines that
-/// fail to parse, recorded under verb "other"). The ok/error tally is
-/// recorded before the solve tally at its call site, so `solves <= ok`
-/// holds whenever the instance is quiesced.
-void AccountRequest(const std::string& verb, bool ok) {
-  RequestInstruments& m = RequestAccounting();
+/// Every answered request is counted here once: its status, its verb's
+/// series, and for an ok solve the solve tally. ok is recorded before the
+/// solve tally, so `solves <= ok` holds whenever the instance is quiesced.
+void Account(obs::Counter& verb, bool ok,
+             std::optional<double> solve_ms = std::nullopt) {
+  ServeInstruments& m = Instruments();
   (ok ? m.ok : m.errors).Add();
-  AccountVerb(verb);
+  verb.Add();
+  if (ok && solve_ms.has_value()) {
+    m.solves.Add();
+    m.solve_latency_ms.Observe(*solve_ms);
+  }
 }
 
 Json AllocationToJson(const Allocation& allocation) {
@@ -123,13 +48,84 @@ Json AllocationToJson(const Allocation& allocation) {
   return out;
 }
 
-/// RAII admission-slot return.
-struct SlotGuard {
-  AdmissionController* admission;
-  ~SlotGuard() { admission->Release(); }
+}  // namespace
+
+/// One request in flight: what the handlers read, and what they hand back
+/// to the one response framing in HandleRequest.
+struct Server::Call {
+  explicit Call(const Request& r) : request(r) {}
+  Call(const Call&) = delete;
+  Call& operator=(const Call&) = delete;
+  ~Call() {
+    if (slot != nullptr) slot->Release();
+  }
+
+  const Request& request;
+  /// Started at arrival, so deadline_ms bounds queueing AND solving.
+  WallTimer timer;
+  double queued_ms = 0.0;
+  /// The admission slot this request holds until it is answered.
+  AdmissionController* slot = nullptr;
+  Json result;   ///< an ok response's payload
+  Json serve;    ///< an ok response's `serve` section; null omits it
+  Json partial;  ///< an error's `partial` progress stats; null omits it
+  /// The wire code of a failure, where it is not CodeFromStatus's.
+  std::optional<ErrorCode> code;
+  /// Solver wall time of a solve about to answer ok.
+  std::optional<double> solve_ms;
 };
 
-}  // namespace
+/// One row per verb. Exactly one handler is set: `run` may fail and
+/// fills the Call; `reply` cannot fail and builds its payload after the
+/// request is counted, so `stats` counts itself.
+struct Server::Verb {
+  const char* name;
+  bool admission = false;  ///< waits for an admission slot
+  bool testing = false;    ///< answers only on a `testing` server
+  Status (Server::*run)(Call&) = nullptr;
+  Json (Server::*reply)() const = nullptr;
+  /// Its uic_serve_verb_requests_total series.
+  obs::Counter& (*requests)() = nullptr;
+};
+
+// A row's series has a literal label, so the exposition schema never
+// depends on client input; UIC_VERB labels it with the row's name.
+#define UIC_VERB_SERIES(label)                                          \
+  []() -> obs::Counter& {                                               \
+    UIC_METRIC_COUNTER_LABELED(series, "uic_serve_verb_requests_total", \
+                               "verb=\"" label "\"",                    \
+                               "Requests answered, by verb.");          \
+    return series;                                                      \
+  }
+#define UIC_VERB(verb, ...) \
+  {.name = verb, __VA_ARGS__, .requests = UIC_VERB_SERIES(verb)}
+
+// docs/serving.md's verb table lists these rows (tools/docs/check_docs.sh).
+const Server::Verb Server::kVerbs[] = {
+    UIC_VERB("ping", .reply = &Server::Pong),
+    UIC_VERB("stats", .reply = &Server::Stats),
+    UIC_VERB("metrics", .reply = &Server::Metrics),
+    UIC_VERB("shutdown", .run = &Server::Shutdown),
+    UIC_VERB("set_failpoints", .testing = true, .run = &Server::SetFailpoints),
+    UIC_VERB("unload", .run = &Server::Unload),
+    UIC_VERB("load_graph", .admission = true, .run = &Server::LoadGraph),
+    UIC_VERB("load_params", .admission = true, .run = &Server::LoadParams),
+    UIC_VERB("solve", .admission = true, .run = &Server::Solve),
+    // Last: every unknown verb. ParseRequest rejects an empty verb, so
+    // FindVerb("") names this row only for lines that never parsed.
+    {.name = "", .run = &Server::UnknownVerb,
+     .requests = UIC_VERB_SERIES("other")},
+};
+
+#undef UIC_VERB
+#undef UIC_VERB_SERIES
+
+const Server::Verb& Server::FindVerb(const std::string& name) {
+  for (const Verb& verb : kVerbs) {
+    if (name == verb.name) return verb;
+  }
+  return kVerbs[std::size(kVerbs) - 1];
+}
 
 Server::Server(ServerOptions options, std::atomic<bool>* stop)
     : options_(options),
@@ -137,14 +133,27 @@ Server::Server(ServerOptions options, std::atomic<bool>* stop)
       sessions_(options.max_graphs, options.max_params),
       warm_(options.warm_entries),
       admission_({options.concurrency, options.queue_capacity}) {
+  // Every verb's series exists from the first Server on, so the
+  // exposition schema never depends on which verbs clients sent.
+  for (const Verb& verb : kVerbs) verb.requests();
   // Snapshot the process-global tallies: Stats() reports this instance's
-  // deltas, so a fresh Server starts from zero like the old per-instance
-  // RequestCounters did.
-  const RequestInstruments& m = RequestAccounting();
+  // deltas, so a fresh Server starts from zero.
+  const ServeInstruments& m = Instruments();
   base_solves_ = m.solves.Value();
   base_ok_ = m.ok.Value();
   base_errors_ = m.errors.Value();
   base_solve_ms_ = m.solve_latency_ms.Sum();
+  const auto tally = [](const char* key, const obs::Counter& counter) {
+    return Tally{key, &counter, counter.Value()};
+  };
+  warm_tallies_ = {tally("hits", m.warm_hits),
+                   tally("misses", m.warm_misses),
+                   tally("evictions", m.warm_evictions),
+                   tally("rr_sets_sampled", m.warm_rr_sets_sampled),
+                   tally("rr_sets_served", m.warm_rr_sets_served)};
+  admission_tallies_ = {tally("admitted", m.admitted),
+                        tally("shed", m.shed),
+                        tally("deadline_exceeded", m.queue_deadline_exceeded)};
 }
 
 void Server::BeginDrain() {
@@ -153,16 +162,24 @@ void Server::BeginDrain() {
 }
 
 Json Server::Stats() const {
+  const auto with_tallies = [](Json section,
+                               const std::vector<Tally>& tallies) {
+    for (const Tally& t : tallies) {
+      section.Set(t.key, Json::Int(static_cast<long long>(
+                             t.counter->Value() - t.base)));
+    }
+    return section;
+  };
   Json out = Json::Object();
   out.Set("sessions", sessions_.Describe());
-  out.Set("warm_cache", warm_.Describe());
-  out.Set("admission", admission_.Describe());
+  out.Set("warm_cache", with_tallies(warm_.Describe(), warm_tallies_));
+  out.Set("admission", with_tallies(admission_.Describe(), admission_tallies_));
 
   // The registry totals minus this instance's construction-time baseline,
   // in the exact JSON shape the golden transcripts pin. Solves are read
   // before ok so a concurrent solve's paired increments (ok first, solve
   // second at the same site) can only be seen as ok-without-solve.
-  const RequestInstruments& m = RequestAccounting();
+  const ServeInstruments& m = Instruments();
   const uint64_t solves = m.solves.Value() - base_solves_;
   const uint64_t ok = m.ok.Value() - base_ok_;
   const uint64_t errors = m.errors.Value() - base_errors_;
@@ -187,7 +204,7 @@ std::string Server::MetricsText() const {
 std::string Server::HandleLine(const std::string& line) {
   Result<Request> parsed = ParseRequest(line);
   if (!parsed.ok()) {
-    AccountRequest("", false);
+    Account(FindVerb("").requests(), false);
     return ErrorResponse(Json::Null(), ErrorCode::kBadRequest,
                          parsed.status().message());
   }
@@ -195,199 +212,153 @@ std::string Server::HandleLine(const std::string& line) {
 }
 
 std::string Server::HandleRequest(const Request& request) {
-  // Started at arrival so deadline_ms bounds the whole request — queueing
-  // AND solving — not just the wait for admission.
-  WallTimer request_timer;
-  const Json& id = request.id;
-  const std::string& verb = request.verb;
-
-  if (verb == "ping") {
-    AccountRequest(verb, true);
-    Json result = Json::Object();
-    result.Set("pong", Json::Bool(true));
-    return OkResponse(id, result, Json::Null());
+  const Verb& verb = FindVerb(request.verb);
+  Call call(request);
+  Status status = Admit(verb, call);
+  if (status.ok() && verb.run != nullptr) status = (this->*verb.run)(call);
+  Account(verb.requests(), status.ok(), call.solve_ms);
+  if (!status.ok()) {
+    return ErrorResponse(request.id,
+                         call.code.value_or(CodeFromStatus(status)),
+                         status.message(), call.partial);
   }
-  if (verb == "stats") {
-    AccountRequest(verb, true);
-    return OkResponse(id, Stats(), Json::Null());
-  }
-  if (verb == "metrics") {
-    AccountRequest(verb, true);
-    Json result = Json::Object();
-    result.Set("format", Json::Str("prometheus-text"));
-    result.Set("text", Json::Str(MetricsText()));
-    return OkResponse(id, result, Json::Null());
-  }
-  if (verb == "shutdown") {
-    BeginDrain();
-    AccountRequest(verb, true);
-    Json result = Json::Object();
-    result.Set("draining", Json::Bool(true));
-    return OkResponse(id, result, Json::Null());
-  }
-  if (verb == "set_failpoints") {
-    if (!options_.testing) {
-      AccountRequest(verb, false);
-      return ErrorResponse(id, ErrorCode::kFailedPrecondition,
-                           "set_failpoints requires a --testing daemon");
-    }
-    Result<Json> result = DoSetFailpoints(request.body);
-    AccountRequest(verb, result.ok());
-    if (!result.ok()) {
-      return ErrorResponse(id, CodeFromStatus(result.status()),
-                           result.status().message());
-    }
-    return OkResponse(id, result.value(), Json::Null());
-  }
-  if (verb == "unload") {
-    Result<Json> result = DoUnload(request.body);
-    AccountRequest(verb, result.ok());
-    if (!result.ok()) {
-      return ErrorResponse(id, CodeFromStatus(result.status()),
-                           result.status().message());
-    }
-    return OkResponse(id, result.value(), Json::Null());
-  }
-
-  if (verb == "load_graph" || verb == "load_params" || verb == "solve") {
-    double queued_ms = 0.0;
-    AdmissionController::Decision decision;
-    {
-      obs::TraceSpan wait_span("serve.admission_wait");
-      decision = admission_.Admit(request.deadline_ms, &queued_ms);
-    }
-    switch (decision) {
-      case AdmissionController::Decision::kShed:
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kOverloaded,
-                             "admission queue full; retry later");
-      case AdmissionController::Decision::kDeadlineExceeded:
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kDeadlineExceeded,
-                             "request exceeded its deadline_ms while queued");
-      case AdmissionController::Decision::kDraining:
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kUnavailable,
-                             "server is draining for shutdown");
-      case AdmissionController::Decision::kAdmitted:
-        break;
-    }
-    SlotGuard slot{&admission_};
-
-    if (verb == "solve") {
-      obs::TraceSpan solve_span("serve.solve");
-      // Post-admission site: error(...) exercises the typed internal
-      // error path; delay_ms(n) pins a solve in flight (the SIGTERM-drain
-      // and mid-solve-deadline tests) without touching solver code.
-      const failpoint::Hit fp = UIC_FAILPOINT("serve.solve.admitted");
-      if (fp.action == failpoint::Action::kError) {
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kInternal,
-                             "injected fault at serve.solve.admitted");
-      }
-      failpoint::SleepFor(fp);
-      Json serve_info;
-      Json partial;
-      double solve_ms = 0.0;
-      Result<Json> result =
-          DoSolve(request.body, queued_ms, request.deadline_ms,
-                  request_timer, &serve_info, &partial, &solve_ms);
-      // Single accounting site for the solve invariant: ok is recorded
-      // first, then the solve tally — and only for an ok response, so a
-      // deadline-exceeded solve counts as an error, never a solve.
-      AccountRequest(verb, result.ok());
-      solve_span.SetAttr("ok", result.ok() ? 1 : 0);
-      if (!result.ok()) {
-        return ErrorResponse(id, CodeFromStatus(result.status()),
-                             result.status().message(), partial);
-      }
-      RequestInstruments& m = RequestAccounting();
-      m.solves.Add();
-      m.solve_latency_ms.Observe(solve_ms);
-      return OkResponse(id, result.value(), serve_info);
-    }
-    Result<Json> result = verb == "load_graph" ? DoLoadGraph(request.body)
-                                               : DoLoadParams(request.body);
-    AccountRequest(verb, result.ok());
-    if (!result.ok()) {
-      // The registry caps are admission control: a full registry sheds
-      // the load (kOverloaded) rather than reporting a client mistake.
-      const ErrorCode code =
-          result.status().code() == Status::Code::kFailedPrecondition
-              ? ErrorCode::kOverloaded
-              : CodeFromStatus(result.status());
-      return ErrorResponse(id, code, result.status().message());
-    }
-    return OkResponse(id, result.value(), Json::Null());
-  }
-
-  AccountRequest(verb, false);
-  return ErrorResponse(id, ErrorCode::kBadRequest,
-                       "unknown verb '" + verb + "'");
+  // After the count, so `stats` counts itself.
+  if (verb.reply != nullptr) call.result = (this->*verb.reply)();
+  return OkResponse(request.id, call.result, call.serve);
 }
 
-Result<Json> Server::DoLoadGraph(const Json& body) {
-  const std::string name = GetStringField(body, "name");
-  if (name.empty()) {
+Status Server::Admit(const Verb& verb, Call& call) {
+  if (verb.testing && !options_.testing) {
+    return Status::FailedPrecondition(std::string(verb.name) +
+                                      " requires a --testing daemon");
+  }
+  if (!verb.admission) return Status::OK();
+  AdmissionController::Decision decision;
+  {
+    obs::TraceSpan wait_span("serve.admission_wait");
+    decision = admission_.Admit(call.request.deadline_ms, &call.queued_ms);
+  }
+  switch (decision) {
+    case AdmissionController::Decision::kAdmitted:
+      call.slot = &admission_;
+      return Status::OK();
+    case AdmissionController::Decision::kShed:
+      call.code = ErrorCode::kOverloaded;
+      return Status::FailedPrecondition("admission queue full; retry later");
+    case AdmissionController::Decision::kDeadlineExceeded:
+      return Status::DeadlineExceeded(
+          "request exceeded its deadline_ms while queued");
+    case AdmissionController::Decision::kDraining:
+      call.code = ErrorCode::kUnavailable;
+      return Status::FailedPrecondition("server is draining for shutdown");
+  }
+  return Status::Internal("unknown admission decision");
+}
+
+Json Server::Pong() const {
+  Json result = Json::Object();
+  result.Set("pong", Json::Bool(true));
+  return result;
+}
+
+Json Server::Metrics() const {
+  Json result = Json::Object();
+  result.Set("format", Json::Str("prometheus-text"));
+  result.Set("text", Json::Str(MetricsText()));
+  return result;
+}
+
+Status Server::Shutdown(Call& call) {
+  BeginDrain();
+  call.result = Json::Object();
+  call.result.Set("draining", Json::Bool(true));
+  return Status::OK();
+}
+
+Status Server::UnknownVerb(Call& call) {
+  return Status::InvalidArgument("unknown verb '" + call.request.verb + "'");
+}
+
+Status Server::LoadGraph(Call& call) {
+  Result<std::string> name = GetStringField(call.request.body, "name");
+  if (!name.ok()) return name.status();
+  if (name.value().empty()) {
     return Status::InvalidArgument("load_graph needs a 'name'");
   }
-  Result<Graph> graph = BuildGraphFromSpec(body);
+  Result<Graph> graph = BuildGraphFromSpec(call.request.body);
   if (!graph.ok()) return graph.status();
+  // A same-name replace bumps the generation, so the old one's warm
+  // entries never serve again; the old graph object stays alive only for
+  // solves and warm entries already holding a pin.
   Result<GraphSession> session =
-      sessions_.AddGraph(name, graph.MoveValue());
-  if (!session.ok()) return session.status();
-  // A same-name replace retires the old generation's warm entries: the
-  // old graph object stays alive only for solves already holding a pin.
-  Json result = Json::Object();
-  result.Set("name", Json::Str(session.value().name));
-  result.Set("generation",
-             Json::Int(static_cast<long long>(session.value().generation)));
-  result.Set("nodes", Json::Int(session.value().graph->num_nodes()));
-  result.Set("edges", Json::Int(static_cast<long long>(
-                          session.value().graph->num_edges())));
-  return result;
+      sessions_.AddGraph(name.value(), graph.MoveValue());
+  if (!session.ok()) {
+    // The registry caps are admission control: a full registry sheds the
+    // load rather than reporting a client mistake.
+    if (session.status().code() == Status::Code::kFailedPrecondition) {
+      call.code = ErrorCode::kOverloaded;
+    }
+    return session.status();
+  }
+  call.result = Json::Object();
+  call.result.Set("name", Json::Str(session.value().name));
+  call.result.Set("generation", Json::Int(static_cast<long long>(
+                                    session.value().generation)));
+  call.result.Set("nodes", Json::Int(session.value().graph->num_nodes()));
+  call.result.Set("edges", Json::Int(static_cast<long long>(
+                               session.value().graph->num_edges())));
+  return Status::OK();
 }
 
-Result<Json> Server::DoLoadParams(const Json& body) {
-  const std::string name = GetStringField(body, "name");
-  if (name.empty()) {
+Status Server::LoadParams(Call& call) {
+  Result<std::string> name = GetStringField(call.request.body, "name");
+  if (!name.ok()) return name.status();
+  if (name.value().empty()) {
     return Status::InvalidArgument("load_params needs a 'name'");
   }
-  Result<ItemParams> params = BuildParamsFromSpec(body);
+  Result<ItemParams> params = BuildParamsFromSpec(call.request.body);
   if (!params.ok()) return params.status();
   Result<ParamsSession> session =
-      sessions_.AddParams(name, params.MoveValue());
-  if (!session.ok()) return session.status();
-  Json result = Json::Object();
-  result.Set("name", Json::Str(session.value().name));
-  result.Set("generation",
-             Json::Int(static_cast<long long>(session.value().generation)));
-  result.Set("items", Json::Int(session.value().params->num_items()));
-  return result;
+      sessions_.AddParams(name.value(), params.MoveValue());
+  if (!session.ok()) {
+    // As in LoadGraph: a full registry sheds the load.
+    if (session.status().code() == Status::Code::kFailedPrecondition) {
+      call.code = ErrorCode::kOverloaded;
+    }
+    return session.status();
+  }
+  call.result = Json::Object();
+  call.result.Set("name", Json::Str(session.value().name));
+  call.result.Set("generation", Json::Int(static_cast<long long>(
+                                    session.value().generation)));
+  call.result.Set("items", Json::Int(session.value().params->num_items()));
+  return Status::OK();
 }
 
-Result<Json> Server::DoUnload(const Json& body) {
-  const std::string graph_name = GetStringField(body, "graph");
-  const std::string params_name = GetStringField(body, "params");
-  if (graph_name.empty() == params_name.empty()) {
+Status Server::Unload(Call& call) {
+  Result<std::string> graph = GetStringField(call.request.body, "graph");
+  if (!graph.ok()) return graph.status();
+  Result<std::string> params = GetStringField(call.request.body, "params");
+  if (!params.ok()) return params.status();
+  if (graph.value().empty() == params.value().empty()) {
     return Status::InvalidArgument(
         "unload needs exactly one of 'graph' or 'params'");
   }
-  Json result = Json::Object();
-  if (!graph_name.empty()) {
+  call.result = Json::Object();
+  if (!graph.value().empty()) {
     uint64_t generation = 0;
-    UIC_RETURN_NOT_OK(sessions_.RemoveGraph(graph_name, &generation));
+    UIC_RETURN_NOT_OK(sessions_.RemoveGraph(graph.value(), &generation));
     warm_.DropGeneration(generation);
-    result.Set("unloaded_graph", Json::Str(graph_name));
+    call.result.Set("unloaded_graph", Json::Str(graph.value()));
   } else {
-    UIC_RETURN_NOT_OK(sessions_.RemoveParams(params_name));
-    result.Set("unloaded_params", Json::Str(params_name));
+    UIC_RETURN_NOT_OK(sessions_.RemoveParams(params.value()));
+    call.result.Set("unloaded_params", Json::Str(params.value()));
   }
-  return result;
+  return Status::OK();
 }
 
-Result<Json> Server::DoSetFailpoints(const Json& body) {
-  const Json* points = body.Find("failpoints");
+Status Server::SetFailpoints(Call& call) {
+  const Json* points = call.request.body.Find("failpoints");
   if (points == nullptr || !points->is_object()) {
     return Status::InvalidArgument(
         "set_failpoints needs a 'failpoints' object mapping site names to "
@@ -404,21 +375,35 @@ Result<Json> Server::DoSetFailpoints(const Json& body) {
   for (const auto& [name, spec] : failpoint::List()) {
     armed.Set(name, Json::Str(spec));
   }
-  Json result = Json::Object();
-  result.Set("armed", std::move(armed));
-  return result;
+  call.result = Json::Object();
+  call.result.Set("armed", std::move(armed));
+  return Status::OK();
 }
 
-Result<Json> Server::DoSolve(const Json& body, double queued_ms,
-                             double deadline_ms,
-                             const WallTimer& request_timer,
-                             Json* serve_info, Json* partial,
-                             double* solve_ms_out) {
-  const std::string graph_name = GetStringField(body, "graph");
-  if (graph_name.empty()) {
+Status Server::Solve(Call& call) {
+  obs::TraceSpan solve_span("serve.solve");
+  const Status status = DoSolve(call);
+  solve_span.SetAttr("ok", status.ok() ? 1 : 0);
+  return status;
+}
+
+Status Server::DoSolve(Call& call) {
+  // Post-admission site: error(...) exercises the typed internal error
+  // path; delay_ms(n) pins a solve in flight (the SIGTERM-drain and
+  // mid-solve-deadline tests) without touching solver code.
+  const failpoint::Hit fp = UIC_FAILPOINT("serve.solve.admitted");
+  if (fp.action == failpoint::Action::kError) {
+    return Status::Internal("injected fault at serve.solve.admitted");
+  }
+  failpoint::SleepFor(fp);
+
+  const Json& body = call.request.body;
+  Result<std::string> graph_name = GetStringField(body, "graph");
+  if (!graph_name.ok()) return graph_name.status();
+  if (graph_name.value().empty()) {
     return Status::InvalidArgument("solve needs a 'graph' session name");
   }
-  Result<GraphSession> graph_session = sessions_.GetGraph(graph_name);
+  Result<GraphSession> graph_session = sessions_.GetGraph(graph_name.value());
   if (!graph_session.ok()) return graph_session.status();
   const GraphSession& graph = graph_session.value();
 
@@ -443,24 +428,29 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
   problem.graph = graph.graph.get();
   problem.budgets = std::move(budgets);
 
-  const std::string params_name = GetStringField(body, "params");
-  if (!params_name.empty()) {
-    Result<ParamsSession> params = sessions_.GetParams(params_name);
+  Result<std::string> params_name = GetStringField(body, "params");
+  if (!params_name.ok()) return params_name.status();
+  if (!params_name.value().empty()) {
+    Result<ParamsSession> params = sessions_.GetParams(params_name.value());
     if (!params.ok()) return params.status();
     problem.params = *params.value().params;
   }
 
-  const std::string model = GetStringField(body, "model", "ic");
-  if (model != "ic" && model != "lt") {
+  Result<std::string> model = GetStringField(body, "model", "ic");
+  if (!model.ok()) return model.status();
+  if (model.value() != "ic" && model.value() != "lt") {
     return Status::InvalidArgument("'model' must be \"ic\" or \"lt\"");
   }
-  const bool lt = model == "lt";
+  const bool lt = model.value() == "lt";
   problem.model = lt ? DiffusionModel::kLinearThreshold
                      : DiffusionModel::kIndependentCascade;
 
   // Only the JSON types are read here; CheckSolve owns the limits.
   SolveSpec spec;
-  spec.algorithm = GetStringField(body, "algorithm", "bundle-grd");
+  Result<std::string> algorithm =
+      GetStringField(body, "algorithm", "bundle-grd");
+  if (!algorithm.ok()) return algorithm.status();
+  spec.algorithm = algorithm.MoveValue();
   Result<long long> seed = GetIntField(body, "seed", 1, 0, INT64_MAX);
   if (!seed.ok()) return seed.status();
   spec.options.seed = static_cast<uint64_t>(seed.value());
@@ -489,39 +479,40 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
   // LT). Cold path ('warm':false): RunSolve's private cache, so the
   // request still reports exact sampled counts — the payload is identical
   // either way by the RrStreamCache replay contract.
-  WarmLease lease;
-  if (warm) {
-    obs::TraceSpan acquire_span("serve.warm_acquire");
-    WarmKey key;
-    key.generation = graph.generation;
-    key.seed = spec.options.seed;
-    key.linear_threshold = lt;
-    lease = warm_.Acquire(key, graph.graph);
-    acquire_span.SetAttr("hit", lease.hit() ? 1 : 0);
-  }
+  WarmLease lease =
+      warm ? warm_.Acquire({graph.generation, spec.options.seed, lt},
+                           graph.graph)
+           : WarmLease();
 
   // Cheap deadline checks at solve-phase boundaries: a request that blows
   // its end-to-end budget mid-solve must not return a full result late.
   // The client gets progress stats, never a payload it could mistake for
   // the answer it stopped waiting for.
   const auto check_deadline = [&](const SolveOutcome& outcome) -> Status {
-    if (deadline_ms <= 0.0 || request_timer.ElapsedMillis() <= deadline_ms) {
+    const double deadline_ms = call.request.deadline_ms;
+    if (deadline_ms <= 0.0 || call.timer.ElapsedMillis() <= deadline_ms) {
       return Status::OK();
     }
-    *partial = Json::Object();
-    partial->Set("num_rr_sets", Json::Int(static_cast<long long>(
-                                    outcome.result.num_rr_sets)));
-    partial->Set("rr_sets_sampled", Json::Int(static_cast<long long>(
-                                        outcome.rr_sets_sampled)));
-    partial->Set("rr_sets_served", Json::Int(static_cast<long long>(
-                                       outcome.rr_sets_served)));
+    call.partial = Json::Object();
+    call.partial.Set("num_rr_sets", Json::Int(static_cast<long long>(
+                                        outcome.result.num_rr_sets)));
+    call.partial.Set("rr_sets_sampled", Json::Int(static_cast<long long>(
+                                            outcome.rr_sets_sampled)));
+    call.partial.Set("rr_sets_served", Json::Int(static_cast<long long>(
+                                           outcome.rr_sets_served)));
     return Status::DeadlineExceeded(
         "request exceeded its deadline_ms mid-solve");
   };
   WallTimer timer;
+  double solve_ms = 0.0;
   Result<SolveOutcome> solved =
       RunSolve(problem, spec, lease.cache(), [&](const SolveOutcome& outcome) {
-        *solve_ms_out = timer.ElapsedMillis();
+        solve_ms = timer.ElapsedMillis();
+        if (warm) {
+          ServeInstruments& m = Instruments();
+          m.warm_rr_sets_sampled.Add(outcome.rr_sets_sampled);
+          m.warm_rr_sets_served.Add(outcome.rr_sets_served);
+        }
         // Hand the pool back before the (cache-independent) welfare
         // estimate so a same-key request can start solving during it.
         lease.Release();
@@ -532,10 +523,11 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
   // Boundary #2: Monte-Carlo evaluation can dominate the request when
   // eval_sims is large, so re-check before shipping the result.
   if (outcome.welfare.has_value()) UIC_RETURN_NOT_OK(check_deadline(outcome));
+  call.solve_ms = solve_ms;
 
-  Json result = Json::Object();
+  Json& result = call.result = Json::Object();
   result.Set("algorithm", Json::Str(outcome.algorithm));
-  result.Set("model", Json::Str(model));
+  result.Set("model", Json::Str(model.value()));
   result.Set("seed", Json::Int(seed.value()));
   result.Set("allocation", AllocationToJson(outcome.result.allocation));
   result.Set("num_rr_sets", Json::Int(static_cast<long long>(
@@ -550,18 +542,18 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
     result.Set("welfare", std::move(welfare));
   }
 
-  *serve_info = Json::Object();
-  serve_info->Set("warm", Json::Bool(warm));
-  serve_info->Set("warm_hit", Json::Bool(lease.hit()));
-  serve_info->Set("rr_sets_sampled",
-                  Json::Int(static_cast<long long>(outcome.rr_sets_sampled)));
-  serve_info->Set("rr_sets_served",
-                  Json::Int(static_cast<long long>(outcome.rr_sets_served)));
+  Json& serve_info = call.serve = Json::Object();
+  serve_info.Set("warm", Json::Bool(warm));
+  serve_info.Set("warm_hit", Json::Bool(lease.hit()));
+  serve_info.Set("rr_sets_sampled",
+                 Json::Int(static_cast<long long>(outcome.rr_sets_sampled)));
+  serve_info.Set("rr_sets_served",
+                 Json::Int(static_cast<long long>(outcome.rr_sets_served)));
   if (options_.include_timing) {
-    serve_info->Set("queued_ms", Json::Number(queued_ms));
-    serve_info->Set("solve_ms", Json::Number(*solve_ms_out));
+    serve_info.Set("queued_ms", Json::Number(call.queued_ms));
+    serve_info.Set("solve_ms", Json::Number(solve_ms));
   }
-  return result;
+  return Status::OK();
 }
 
 void Server::ServePipe(FdLineChannel& channel) {
@@ -571,7 +563,7 @@ void Server::ServePipe(FdLineChannel& channel) {
     if (!channel.WriteLine(HandleLine(line))) break;
   }
   if (channel.line_too_long()) {
-    AccountRequest("", false);
+    Account(FindVerb("").requests(), false);
     (void)channel.WriteLine(ErrorResponse(
         Json::Null(), ErrorCode::kBadRequest,
         "request line exceeds " +

@@ -1,26 +1,11 @@
 // The welfare-query server: verb dispatch over the JSON-lines protocol,
 // glued to the session registry, warm cache, and admission scheduler.
 //
-// Verb roster (request fields beyond the envelope live on the same
-// object; see protocol.h for the envelope):
-//
-//   ping        → {"pong":true}
-//   load_graph  name + (path | network spec, session.h)  [admission-gated]
-//   load_params name + (path | config)                   [admission-gated]
-//   solve       graph, budgets, [params, algorithm="bundle-grd", seed=1,
-//               eps=0.5, ell=1.0, model="ic"|"lt", eval_sims=0,
-//               eval_seed, warm=true]                    [admission-gated]
-//   unload      {"graph":name} or {"params":name} — dropping a graph also
-//               drops its warm-cache entries (by generation)
-//   stats       registry + warm pool + scheduler + request counters
-//   metrics     process-global metric exposition (obs/metrics.h) as one
-//               text blob; timing-valued series only with include_timing
-//   shutdown    begin drain; in-flight requests finish, readers stop
-//   set_failpoints  {"failpoints":{"name":"policy",...}} — arm/disarm
-//               fault injection (common/failpoint.h grammar). Only
-//               answers when the server was built with `testing` set
-//               (the daemon's --testing flag); otherwise
-//               failed_precondition.
+// The verbs are one constant table in server.cc: per verb its name,
+// whether it waits for admission, whether it needs a `testing` server,
+// its handler and its request series. docs/serving.md lists them with
+// their request fields (tools/docs/check_docs.sh keeps the two in step);
+// protocol.h holds the envelope.
 //
 // Determinism contract: everything under a response's `result` key is a
 // pure function of the request (given the loaded sessions) — bit-identical
@@ -39,8 +24,9 @@
 
 #include <atomic>
 #include <string>
+#include <vector>
 
-#include "common/timer.h"
+#include "obs/metrics.h"
 #include "serve/json.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
@@ -107,20 +93,27 @@ class Server {
   [[nodiscard]] Status ServeMetricsHttp(TcpListener& listener);
 
  private:
+  struct Call;
+  struct Verb;
+  /// The verb table; its last row (name "") answers every unknown verb.
+  static const Verb kVerbs[];
+  static const Verb& FindVerb(const std::string& name);
+
   std::string HandleRequest(const Request& request);
-  [[nodiscard]] Result<Json> DoLoadGraph(const Json& body);
-  [[nodiscard]] Result<Json> DoLoadParams(const Json& body);
-  /// `deadline_ms` is the request's end-to-end budget and `request_timer`
-  /// has been running since the request arrived; on a mid-solve deadline
-  /// miss the status is DeadlineExceeded and *partial holds progress
-  /// stats for the error payload.
-  [[nodiscard]] Result<Json> DoSolve(const Json& body, double queued_ms,
-                                     double deadline_ms,
-                                     const WallTimer& request_timer,
-                                     Json* serve_info, Json* partial,
-                                     double* solve_ms_out);
-  [[nodiscard]] Result<Json> DoUnload(const Json& body);
-  [[nodiscard]] Result<Json> DoSetFailpoints(const Json& body);
+  /// The testing gate, then an admission slot for an admission-gated verb.
+  [[nodiscard]] Status Admit(const Verb& verb, Call& call);
+
+  // Handlers: a `reply` cannot fail; a `run` may, and fills `call`.
+  Json Pong() const;
+  Json Metrics() const;
+  [[nodiscard]] Status Shutdown(Call& call);
+  [[nodiscard]] Status SetFailpoints(Call& call);
+  [[nodiscard]] Status Unload(Call& call);
+  [[nodiscard]] Status LoadGraph(Call& call);
+  [[nodiscard]] Status LoadParams(Call& call);
+  [[nodiscard]] Status Solve(Call& call);
+  [[nodiscard]] Status DoSolve(Call& call);
+  [[nodiscard]] Status UnknownVerb(Call& call);
 
   const ServerOptions options_;
   std::atomic<bool> own_stop_{false};
@@ -130,19 +123,26 @@ class Server {
   WarmPool warm_;
   AdmissionController admission_;
 
-  // Request accounting lives on the process-global obs::MetricsRegistry
-  // (one accounting path for the stats verb, the metrics verb, and the
-  // exposition endpoint). Each Server snapshots the registry totals at
+  // Every serve event is counted once, on the process-global registry
+  // (serve/instruments.h). Each Server snapshots the registry totals at
   // construction so Stats() reports per-instance deltas — the shape the
   // golden transcripts pin. Invariants over a quiesced instance:
   //   requests == ok + errors, and solves <= ok
   // (a solve that exceeds its deadline mid-solve is an error, not a
-  // solve — both tallies are recorded at the same call site, fixing the
-  // old RequestCounters drift where RecordSolve counted deadline'd work).
+  // solve — both tallies are recorded at the same call site).
   uint64_t base_ok_ = 0;
   uint64_t base_errors_ = 0;
   uint64_t base_solves_ = 0;
   double base_solve_ms_ = 0.0;
+  /// A registry counter Stats() reports under `key` as this Server's
+  /// delta, after the keys of the section's own Describe().
+  struct Tally {
+    const char* key;
+    const obs::Counter* counter;
+    uint64_t base;
+  };
+  std::vector<Tally> warm_tallies_;
+  std::vector<Tally> admission_tallies_;
 };
 
 }  // namespace serve

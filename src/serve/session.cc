@@ -140,8 +140,12 @@ Json SessionRegistry::Describe() const {
 
 Result<Graph> BuildGraphFromSpec(const Json& body) {
   NetworkSpec spec;
-  spec.path = GetStringField(body, "path");
-  spec.network = GetStringField(body, "network");
+  Result<std::string> path = GetStringField(body, "path");
+  if (!path.ok()) return path.status();
+  spec.path = path.MoveValue();
+  Result<std::string> network = GetStringField(body, "network");
+  if (!network.ok()) return network.status();
+  spec.network = network.MoveValue();
   if (spec.path.empty() && spec.network.empty()) {
     return Status::InvalidArgument(
         "load_graph needs either 'path' or a 'network' generator spec");
@@ -170,8 +174,12 @@ Result<Graph> BuildGraphFromSpec(const Json& body) {
 
 Result<ItemParams> BuildParamsFromSpec(const Json& body) {
   ConfigSpec spec;
-  spec.path = GetStringField(body, "path");
-  spec.config = GetStringField(body, "config");
+  Result<std::string> path = GetStringField(body, "path");
+  if (!path.ok()) return path.status();
+  spec.path = path.MoveValue();
+  Result<std::string> config = GetStringField(body, "config");
+  if (!config.ok()) return config.status();
+  spec.config = config.MoveValue();
   if (spec.path.empty() && spec.config.empty()) {
     return Status::InvalidArgument(
         "load_params needs either 'path' or 'config'");

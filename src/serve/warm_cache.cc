@@ -4,71 +4,59 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "serve/instruments.h"
 
 namespace uic {
 namespace serve {
 
-WarmLease& WarmLease::operator=(WarmLease&& o) noexcept {
-  if (this != &o) {
-    Release();
-    pool_ = o.pool_;
-    entry_id_ = o.entry_id_;
-    cache_ = o.cache_;
-    hit_ = o.hit_;
-    o.pool_ = nullptr;
-    o.cache_ = nullptr;
-  }
-  return *this;
+/// One warm sample pool, owned by the pool while listed and by its lease
+/// while leased. `leased` and `last_used` are guarded by the pool's mu_.
+struct WarmEntry {
+  WarmKey key;
+  std::shared_ptr<const Graph> graph;
+  RrStreamCache cache;
+  bool leased = false;
+  uint64_t last_used = 0;  ///< LRU tick
+};
+
+RrStreamCache* WarmLease::cache() const {
+  return entry_ != nullptr ? &entry_->cache : nullptr;
 }
 
 void WarmLease::Release() {
-  if (pool_ != nullptr) pool_->Release(entry_id_);
-  pool_ = nullptr;
-  cache_ = nullptr;
-}
-
-WarmPool::Entry* WarmPool::FindEntry(size_t id) {
-  for (auto& entry : entries_) {
-    if (entry->id == id) return entry.get();
-  }
-  return nullptr;
+  if (entry_ == nullptr) return;
+  pool_->Release(*entry_);
+  // A dropped entry's last owner: its cache and graph pin go here, outside
+  // the pool's lock.
+  entry_.reset();
 }
 
 WarmLease WarmPool::Acquire(const WarmKey& key,
                             std::shared_ptr<const Graph> graph) {
+  obs::TraceSpan span("serve.warm_acquire");
   // delay_ms(n) widens the window between two same-key acquirers (and
   // between acquire and a concurrent unload's DropGeneration) so the
   // lease serialization is actually contended under TSan. Before the
   // lock: an injected delay must never be charged to mu_ holders.
   failpoint::SleepFor(UIC_FAILPOINT("serve.warm.acquire"));
+  ServeInstruments& metrics = Instruments();
   MutexLock lock(mu_);
   while (true) {
-    Entry* found = nullptr;
-    for (auto& entry : entries_) {
-      if (entry->key == key && !entry->dying) {
-        found = entry.get();
-        break;
-      }
-    }
-    if (found == nullptr) break;
-    if (!found->leased) {
-      found->leased = true;
-      found->last_used = ++tick_;
-      ++hits_;
-      UIC_METRIC_COUNTER(warm_hits, "uic_serve_warm_hits_total",
-                         "Warm-pool acquires that reused a cached entry.");
-      warm_hits.Add();
-      WarmLease lease;
-      lease.pool_ = this;
-      lease.entry_id_ = found->id;
-      lease.cache_ = found->cache.get();
-      lease.hit_ = true;
-      return lease;
+    const auto found =
+        std::find_if(entries_.begin(), entries_.end(),
+                     [&](const auto& entry) { return entry->key == key; });
+    if (found == entries_.end()) break;
+    if (!(*found)->leased) {
+      (*found)->leased = true;
+      (*found)->last_used = ++tick_;
+      metrics.warm_hits.Add();
+      span.SetAttr("hit", 1);
+      return WarmLease(this, *found, /*hit=*/true);
     }
     // Same-key contention: the cache is single-solver; wait for release.
-    // (The entry may be evicted or marked dying while we sleep, so the
-    // loop re-scans from scratch.)
+    // (The entry may be evicted or dropped while we sleep, so the loop
+    // re-scans from scratch.)
     released_.Wait(mu_);
   }
 
@@ -85,98 +73,50 @@ WarmLease WarmPool::Acquire(const WarmKey& key,
       }
     }
     if (victim < entries_.size()) {
-      RetireEntry(victim);
-      ++evictions_;
-      UIC_METRIC_COUNTER(warm_evictions, "uic_serve_warm_evictions_total",
-                         "Warm-pool entries evicted to make room.");
-      warm_evictions.Add();
+      entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
+      metrics.warm_evictions.Add();
     }
   }
 
-  auto entry = std::make_unique<Entry>();
-  entry->id = next_id_++;
+  auto entry = std::make_shared<WarmEntry>();
   entry->key = key;
   entry->graph = std::move(graph);
-  entry->cache = std::make_unique<RrStreamCache>();
   entry->leased = true;
   entry->last_used = ++tick_;
-  ++misses_;
-  UIC_METRIC_COUNTER(warm_misses, "uic_serve_warm_misses_total",
-                     "Warm-pool acquires that had to build a new entry.");
-  warm_misses.Add();
-  WarmLease lease;
-  lease.pool_ = this;
-  lease.entry_id_ = entry->id;
-  lease.cache_ = entry->cache.get();
-  lease.hit_ = false;
-  entries_.push_back(std::move(entry));
-  return lease;
+  entries_.push_back(entry);
+  metrics.warm_misses.Add();
+  span.SetAttr("hit", 0);
+  return WarmLease(this, std::move(entry), /*hit=*/false);
 }
 
-void WarmPool::RetireEntry(size_t index) {
-  retired_sampled_ += entries_[index]->last_stats.sampled_sets;
-  retired_served_ += entries_[index]->last_stats.served_sets;
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(index));
-}
-
-void WarmPool::Release(size_t entry_id) {
+void WarmPool::Release(WarmEntry& entry) {
   MutexLock lock(mu_);
-  Entry* entry = FindEntry(entry_id);
-  if (entry == nullptr) return;  // dropped via DropGeneration while dying
-  entry->leased = false;
-  if (entry->dying) {
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      if (entries_[i]->id == entry_id) {
-        entry->last_stats = entry->cache->stats();
-        RetireEntry(i);
-        break;
-      }
-    }
-  } else {
-    // Com-IC coin pools (pass-prob entries) derive from the solved budget
-    // point and rarely repeat; cap them so a long-lived entry's memory
-    // tracks reuse, not request count. Safe here: no collection is
-    // serving from the cache once its solve released the lease.
-    entry->cache->TrimPassProbEntries(4);
-    entry->last_stats = entry->cache->stats();
-  }
+  entry.leased = false;
+  // Com-IC coin pools (pass-prob entries) derive from the solved budget
+  // point and rarely repeat; cap them so a long-lived entry's memory
+  // tracks reuse, not request count. Safe here: no collection is serving
+  // from the cache once its solve released the lease.
+  entry.cache.TrimPassProbEntries(4);
   released_.NotifyAll();
 }
 
 void WarmPool::DropGeneration(uint64_t generation) {
   MutexLock lock(mu_);
-  for (size_t i = entries_.size(); i > 0; --i) {
-    Entry* entry = entries_[i - 1].get();
-    if (entry->key.generation != generation) continue;
-    if (entry->leased) {
-      entry->dying = true;  // dropped by Release
-    } else {
-      RetireEntry(i - 1);
-    }
-  }
+  std::erase_if(entries_, [&](const auto& entry) {
+    return entry->key.generation == generation;
+  });
+  // Same-key waiters re-scan: their key now misses instead of waiting.
   released_.NotifyAll();
 }
 
 Json WarmPool::Describe() const {
   MutexLock lock(mu_);
-  size_t leased = 0;
-  uint64_t sampled_sets = retired_sampled_;
-  uint64_t served_sets = retired_served_;
-  for (const auto& entry : entries_) {
-    if (entry->leased) ++leased;
-    // last_stats, not cache->stats(): a leased entry's live cache is
-    // being mutated by its solve and must not be read here.
-    sampled_sets += entry->last_stats.sampled_sets;
-    served_sets += entry->last_stats.served_sets;
-  }
+  const auto leased =
+      std::count_if(entries_.begin(), entries_.end(),
+                    [](const auto& entry) { return entry->leased; });
   Json out = Json::Object();
   out.Set("entries", Json::Int(static_cast<long long>(entries_.size())));
   out.Set("leased", Json::Int(static_cast<long long>(leased)));
-  out.Set("hits", Json::Int(static_cast<long long>(hits_)));
-  out.Set("misses", Json::Int(static_cast<long long>(misses_)));
-  out.Set("evictions", Json::Int(static_cast<long long>(evictions_)));
-  out.Set("rr_sets_sampled", Json::Int(static_cast<long long>(sampled_sets)));
-  out.Set("rr_sets_served", Json::Int(static_cast<long long>(served_sets)));
   return out;
 }
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -48,20 +49,19 @@ struct WarmKey {
 };
 
 class WarmPool;
+struct WarmEntry;
 
-/// \brief Exclusive RAII lease on one warm cache entry.
+/// \brief Exclusive RAII lease on one warm cache entry. The lease shares
+/// ownership of the entry with the pool, so an entry dropped while leased
+/// stays usable until the lease lets go of it.
 class WarmLease {
  public:
   WarmLease() = default;
-  WarmLease(WarmLease&& o) noexcept { *this = std::move(o); }
-  WarmLease& operator=(WarmLease&& o) noexcept;
+  WarmLease(WarmLease&& o) noexcept = default;
   ~WarmLease() { Release(); }
 
-  WarmLease(const WarmLease&) = delete;
-  WarmLease& operator=(const WarmLease&) = delete;
-
-  /// The leased cache; nullptr on a default-constructed lease.
-  RrStreamCache* cache() const { return cache_; }
+  /// The leased cache; nullptr on a default-constructed or released lease.
+  RrStreamCache* cache() const;
   /// True when the entry existed before this Acquire (a warm hit).
   bool hit() const { return hit_; }
 
@@ -70,9 +70,11 @@ class WarmLease {
 
  private:
   friend class WarmPool;
+  WarmLease(WarmPool* pool, std::shared_ptr<WarmEntry> entry, bool hit)
+      : pool_(pool), entry_(std::move(entry)), hit_(hit) {}
+
   WarmPool* pool_ = nullptr;
-  size_t entry_id_ = 0;
-  RrStreamCache* cache_ = nullptr;
+  std::shared_ptr<WarmEntry> entry_;
   bool hit_ = false;
 };
 
@@ -84,58 +86,31 @@ class WarmPool {
   /// Check out the entry for `key`, creating it on first use (`graph`
   /// pins the graph for the entry's lifetime). Blocks while another
   /// lease holds the same key. Creating past the cap first evicts the
-  /// least-recently-used idle entry.
+  /// least-recently-used idle entry. Traced as `serve.warm_acquire`;
+  /// hits, misses and evictions are counted on the registry
+  /// (serve/instruments.h).
   WarmLease Acquire(const WarmKey& key,
                     std::shared_ptr<const Graph> graph);
 
-  /// Drop every entry of `generation` (an unloaded graph). Idle entries
-  /// drop immediately; leased ones are marked dying and drop on release.
+  /// Drop every entry of `generation` (an unloaded graph), leased or
+  /// not: the next Acquire of its keys misses, and a leased entry lives
+  /// on in its lease until released.
   void DropGeneration(uint64_t generation);
 
-  /// Aggregate accounting for the `stats` verb: entries, hits, misses,
-  /// evictions, and the summed RrStreamCache sampled/served counters.
+  /// Entry state for the `stats` verb: entries, and how many are leased.
   Json Describe() const;
 
  private:
   friend class WarmLease;
 
-  struct Entry {
-    size_t id = 0;  ///< stable handle (entries_ indices shift on evict)
-    WarmKey key;
-    std::shared_ptr<const Graph> graph;
-    std::unique_ptr<RrStreamCache> cache;
-    bool leased = false;
-    bool dying = false;
-    uint64_t last_used = 0;  ///< LRU tick
-    /// Counters snapshotted at each Release, while the lease still holds
-    /// the cache exclusively — `Describe` must never read a leased
-    /// entry's live RrStreamCache (it is mutex-free by design), so stats
-    /// lag by at most the in-flight solve.
-    RrStreamCache::Stats last_stats;
-  };
-
-  void Release(size_t entry_id);
-
-  /// Locate `id` in entries_; nullptr when evicted. UIC_REQUIRES(mu_).
-  Entry* FindEntry(size_t id) UIC_REQUIRES(mu_);
-
-  /// Fold entries_[index]'s counters into the retired totals and erase it.
-  void RetireEntry(size_t index) UIC_REQUIRES(mu_);
+  void Release(WarmEntry& entry);
 
   const size_t max_entries_;
 
   mutable Mutex mu_;
   CondVar released_;
-  std::vector<std::unique_ptr<Entry>> entries_ UIC_GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<WarmEntry>> entries_ UIC_GUARDED_BY(mu_);
   uint64_t tick_ UIC_GUARDED_BY(mu_) = 0;
-  size_t next_id_ UIC_GUARDED_BY(mu_) = 1;
-  uint64_t hits_ UIC_GUARDED_BY(mu_) = 0;
-  uint64_t misses_ UIC_GUARDED_BY(mu_) = 0;
-  uint64_t evictions_ UIC_GUARDED_BY(mu_) = 0;
-  /// Sampled/served totals of entries that were evicted or dropped, so
-  /// Describe's aggregates stay monotone across evictions.
-  uint64_t retired_sampled_ UIC_GUARDED_BY(mu_) = 0;
-  uint64_t retired_served_ UIC_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace serve

@@ -9,16 +9,21 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "core/serialization.h"
 #include "graph/graph.h"
+#include "rrset/rr_collection.h"
+#include "serve/instruments.h"
 #include "serve/json.h"
 #include "serve/net.h"
 #include "serve/protocol.h"
@@ -199,7 +204,19 @@ TEST(ServeSession, GraphSpecValidation) {
 
 // --- admission control -------------------------------------------------
 
+// The admission and warm-pool events are counted on the registry only;
+// these tests read a counter's delta over the test body.
+struct CounterDelta {
+  explicit CounterDelta(const obs::Counter& c) : counter(c), base(c.Value()) {}
+  long long operator()() const {
+    return static_cast<long long>(counter.Value() - base);
+  }
+  const obs::Counter& counter;
+  const uint64_t base;
+};
+
 TEST(ServeAdmission, AdmitsUpToConcurrencyAndReleasesSlots) {
+  const CounterDelta admitted(Instruments().admitted);
   AdmissionController gate({/*concurrency=*/2, /*queue_capacity=*/4});
   double queued_ms = -1.0;
   EXPECT_EQ(gate.Admit(0.0, &queued_ms), AdmissionController::Decision::kAdmitted);
@@ -208,21 +225,22 @@ TEST(ServeAdmission, AdmitsUpToConcurrencyAndReleasesSlots) {
   gate.Release();
   gate.Release();
   gate.AwaitIdle();
-  const Json stats = gate.Describe();
-  EXPECT_EQ(stats.Find("admitted")->AsInt(), 2);
-  EXPECT_EQ(stats.Find("running")->AsInt(), 0);
+  EXPECT_EQ(admitted(), 2);
+  EXPECT_EQ(gate.Describe().Find("running")->AsInt(), 0);
 }
 
 TEST(ServeAdmission, DeadlineFailsAQueuedRequestWithoutRunningIt) {
   // Zero slots: the request can never be admitted, so a finite deadline
   // must fail it deterministically.
+  const CounterDelta deadline_exceeded(Instruments().queue_deadline_exceeded);
   AdmissionController gate({/*concurrency=*/0, /*queue_capacity=*/4});
   EXPECT_EQ(gate.Admit(5.0), AdmissionController::Decision::kDeadlineExceeded);
-  EXPECT_EQ(gate.Describe().Find("deadline_exceeded")->AsInt(), 1);
+  EXPECT_EQ(deadline_exceeded(), 1);
   gate.AwaitIdle();  // the failed request left no residue
 }
 
 TEST(ServeAdmission, ShedsWhenTheQueueIsFullAndDrainFailsWaiters) {
+  const CounterDelta shed(Instruments().shed);
   AdmissionController gate({/*concurrency=*/0, /*queue_capacity=*/1});
   std::atomic<int> waiter_decision{-1};
   BackgroundThread waiter([&] {
@@ -237,9 +255,8 @@ TEST(ServeAdmission, ShedsWhenTheQueueIsFullAndDrainFailsWaiters) {
   EXPECT_EQ(waiter_decision.load(),
             static_cast<int>(AdmissionController::Decision::kDraining));
   EXPECT_EQ(gate.Admit(0.0), AdmissionController::Decision::kDraining);
-  const Json stats = gate.Describe();
-  EXPECT_EQ(stats.Find("shed")->AsInt(), 1);
-  EXPECT_EQ(stats.Find("max_queue_depth")->AsInt(), 1);
+  EXPECT_EQ(shed(), 1);
+  EXPECT_EQ(gate.Describe().Find("max_queue_depth")->AsInt(), 1);
 }
 
 // --- warm pool ---------------------------------------------------------
@@ -280,6 +297,7 @@ TEST(ServeWarmPool, SameKeyLeaseIsExclusiveUntilRelease) {
 }
 
 TEST(ServeWarmPool, LruEvictionAndGenerationDropsForgetEntries) {
+  const CounterDelta evictions(Instruments().warm_evictions);
   WarmPool pool(/*max_entries=*/1);
   auto graph = std::make_shared<const Graph>(TinyGraph(1));
   pool.Acquire({1, 4, false}, graph).Release();
@@ -289,12 +307,53 @@ TEST(ServeWarmPool, LruEvictionAndGenerationDropsForgetEntries) {
   WarmLease again = pool.Acquire({1, 4, false}, graph);
   EXPECT_FALSE(again.hit());
   again.Release();
-  EXPECT_GE(pool.Describe().Find("evictions")->AsInt(), 1);
+  EXPECT_GE(evictions(), 1);
 
   pool.DropGeneration(1);
   EXPECT_EQ(pool.Describe().Find("entries")->AsInt(), 0);
   WarmLease fresh = pool.Acquire({1, 4, false}, graph);
   EXPECT_FALSE(fresh.hit());
+}
+
+TEST(ServeWarmPool, DropWhileLeasedLeavesTheLeaseUsableAndTheKeyFresh) {
+  WarmPool pool(/*max_entries=*/4);
+  auto graph = std::make_shared<const Graph>(TinyGraph(1));
+  WarmLease held = pool.Acquire({1, 4, false}, graph);
+  pool.DropGeneration(1);
+  EXPECT_EQ(pool.Describe().Find("entries")->AsInt(), 0);
+
+  // The dropped key misses at once: it never waits on the held lease.
+  std::atomic<bool> acquired{false};
+  std::optional<WarmLease> fresh;
+  BackgroundThread acquirer([&] {
+    fresh.emplace(pool.Acquire({1, 4, false}, graph));
+    acquired.store(true);
+  });
+  for (int i = 0; i < 500 && !acquired.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(acquired.load());
+
+  // The held entry still serves its solve.
+  RrOptions options;
+  options.stream_cache = held.cache();
+  {
+    RrCollection collection(*graph, /*seed=*/4, /*workers=*/1, options);
+    collection.GenerateUntil(100);
+    EXPECT_EQ(collection.size(), 100u);
+  }
+  EXPECT_EQ(held.cache()->stats().sampled_sets, 100u);
+  held.Release();  // also frees an acquirer that wrongly waited
+  acquirer.Join();
+  EXPECT_FALSE(fresh->hit());
+  RrStreamCache* replacement = fresh->cache();
+  fresh->Release();
+
+  // Both released: the key hits the replacement, not the dropped entry.
+  WarmLease again = pool.Acquire({1, 4, false}, graph);
+  EXPECT_TRUE(again.hit());
+  EXPECT_EQ(again.cache(), replacement);
+  EXPECT_EQ(pool.Describe().Find("entries")->AsInt(), 1);
 }
 
 // --- Server end-to-end -------------------------------------------------
@@ -334,8 +393,18 @@ std::string Section(const std::string& response, const std::string& key) {
   return section == nullptr ? "" : section->Dump();
 }
 
+/// The value of one series in `server`'s exposition; -1 when absent.
+long long SeriesValue(const Server& server, const std::string& series) {
+  const std::string text = server.MetricsText();
+  const size_t at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return -1;
+  return std::stoll(text.substr(at + series.size() + 2));
+}
+
 TEST(ServeServer, PingStatsAndErrorPaths) {
   Server server(GoldenOptions());
+  const std::string other = "uic_serve_verb_requests_total{verb=\"other\"}";
+  const long long other_before = SeriesValue(server, other);
   EXPECT_EQ(server.HandleLine("{\"id\":1,\"verb\":\"ping\"}"),
             "{\"id\":1,\"ok\":true,\"result\":{\"pong\":true}}");
   EXPECT_NE(server.HandleLine("garbage").find("\"code\":\"bad_request\""),
@@ -351,6 +420,9 @@ TEST(ServeServer, PingStatsAndErrorPaths) {
   const Json stats = server.Stats();
   ASSERT_NE(stats.Find("requests"), nullptr);
   EXPECT_EQ(stats.Find("requests")->Find("errors")->AsInt(), 3);
+  // The unparsable line and the unknown verb both count under "other".
+  ASSERT_GE(other_before, 0);
+  EXPECT_EQ(SeriesValue(server, other), other_before + 2);
 }
 
 TEST(ServeServer, WarmResultIsByteIdenticalToColdAndSamplesNothing) {
@@ -725,7 +797,9 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
   // cannot hold, the fourth in the ItemParams item-count CHECK, the last
   // two in an out-of-bounds write (a node count of 2^32 - 1 wraps the
   // 32-bit CSR offsets). The fifth once fell back to scale 0.3 silently.
-  // Now each gets its reply and the daemon keeps serving.
+  // The last four once read a wrongly typed string field as absent: they
+  // solved bundle-grd, solved under IC, ran the generator and unloaded
+  // "g". Now each gets its reply and the daemon keeps serving.
   struct Case {
     std::string request;
     const char* want;
@@ -758,6 +832,17 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
       {"{\"id\":46,\"verb\":\"load_graph\",\"name\":\"gn\",\"network\":\"er\","
        "\"nodes\":4294967295,\"edges\":0}",
        "\"code\":\"bad_request\""},
+      {"{\"id\":47,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"algorithm\":7}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":48,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"model\":1}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":49,\"verb\":\"load_graph\",\"name\":\"gp\",\"path\":42,"
+       "\"network\":\"er\",\"nodes\":50,\"edges\":200}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":50,\"verb\":\"unload\",\"graph\":\"g\",\"params\":false}",
+       "\"code\":\"bad_request\""},
   };
   Server server(GoldenOptions());
   LoadFixtures(server);
@@ -768,6 +853,31 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
     ExpectStillServes(server);
   }
   std::remove(wrap_path.c_str());
+}
+
+TEST(ServeServer, FullRegistryShedsLoadsAndUnfitSolvesAreFailedPreconditions) {
+  // Two rows of the failure table in docs/serving.md: a load into a full
+  // registry is shed (overloaded), while a solve that Solver::Validate
+  // rejects with FailedPrecondition answers failed_precondition.
+  ServerOptions options = GoldenOptions();
+  options.max_graphs = 1;
+  options.max_params = 1;
+  Server server(options);
+  LoadFixtures(server);
+  ExpectErrorCode(
+      server.HandleLine("{\"id\":70,\"verb\":\"load_graph\",\"name\":\"g2\","
+                        "\"network\":\"er\",\"nodes\":50,\"edges\":200}"),
+      "overloaded");
+  ExpectErrorCode(
+      server.HandleLine("{\"id\":71,\"verb\":\"load_params\",\"name\":\"p2\","
+                        "\"config\":\"config12\"}"),
+      "overloaded");
+  // mc-greedy needs the utility configuration.
+  ExpectErrorCode(
+      server.HandleLine("{\"id\":72,\"verb\":\"solve\",\"graph\":\"g\","
+                        "\"budgets\":[3,3],\"algorithm\":\"mc-greedy\"}"),
+      "failed_precondition");
+  ExpectStillServes(server);
 }
 
 TEST(ServeServer, RejectedSolvesLeaveNoWarmEntry) {

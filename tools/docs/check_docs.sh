@@ -11,6 +11,9 @@
 #      appears in PAPER.md's "§6 algorithm roster ↔ solver registry
 #      names" table. The names are string literals opening the table's
 #      rows, which is what makes this greppable.
+#   4. Every verb name in the verb table (src/serve/server.cc) appears
+#      in docs/serving.md's "Verbs" table. Each row names its verb as
+#      the first argument of UIC_VERB, a string literal.
 set -u
 root="${1:-.}"
 fail=0
@@ -63,7 +66,23 @@ for name in $solvers; do
   fi
 done
 
+# --- verb roster coverage -----------------------------------------------
+serving="$root/docs/serving.md"
+verb_table=$(sed -n '/^### Verbs/,/^#/p' "$serving" 2>/dev/null)
+verbs=$(grep -oE 'UIC_VERB\("[^"]+"' "$root/src/serve/server.cc" |
+  sed -E 's/^UIC_VERB\("//; s/"$//')
+if [ -z "$verbs" ]; then
+  echo "no verb names found in the table in src/serve/server.cc"
+  fail=1
+fi
+for name in $verbs; do
+  if ! grep -qF "| \`$name\` |" <<<"$verb_table"; then
+    echo "verb $name is in src/serve/server.cc but missing from the verb table in $serving"
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs clean: links resolve, metric and solver rosters covered"
+  echo "docs clean: links resolve, metric, solver and verb rosters covered"
 fi
 exit "$fail"
