@@ -2,21 +2,31 @@
 
 #include <algorithm>
 
+#include "common/check.h"
 #include "graph/generators.h"
 
 namespace uic {
 
 namespace {
 
+constexpr NodeId kFlixsterNodes = 7600;
+constexpr NodeId kDoubanBookNodes = 23300;
+constexpr NodeId kDoubanMovieNodes = 34900;
+constexpr NodeId kTwitterNodes = 40000;
+constexpr NodeId kOrkutNodes = 30000;
+
 NodeId Scaled(NodeId base, double scale) {
+  // Converting a double outside NodeId's range is undefined behaviour.
   const double n = static_cast<double>(base) * scale;
+  UIC_CHECK_MSG(n >= 0.0 && n < static_cast<double>(UINT32_MAX),
+                "stand-in scale gives a node count outside [0, 2^32 - 1)");
   return std::max<NodeId>(64, static_cast<NodeId>(n));
 }
 
 }  // namespace
 
 Graph MakeFlixsterLike(uint64_t seed, double scale) {
-  Graph g = GeneratePreferentialAttachment(Scaled(7600, scale),
+  Graph g = GeneratePreferentialAttachment(Scaled(kFlixsterNodes, scale),
                                            /*out_per_node=*/5,
                                            /*undirected=*/true, seed);
   g.ApplyWeightedCascade();
@@ -24,7 +34,7 @@ Graph MakeFlixsterLike(uint64_t seed, double scale) {
 }
 
 Graph MakeDoubanBookLike(uint64_t seed, double scale) {
-  Graph g = GeneratePreferentialAttachment(Scaled(23300, scale),
+  Graph g = GeneratePreferentialAttachment(Scaled(kDoubanBookNodes, scale),
                                            /*out_per_node=*/5,
                                            /*undirected=*/false, seed);
   g.ApplyWeightedCascade();
@@ -32,7 +42,7 @@ Graph MakeDoubanBookLike(uint64_t seed, double scale) {
 }
 
 Graph MakeDoubanMovieLike(uint64_t seed, double scale) {
-  Graph g = GeneratePreferentialAttachment(Scaled(34900, scale),
+  Graph g = GeneratePreferentialAttachment(Scaled(kDoubanMovieNodes, scale),
                                            /*out_per_node=*/6,
                                            /*undirected=*/false, seed);
   g.ApplyWeightedCascade();
@@ -40,7 +50,7 @@ Graph MakeDoubanMovieLike(uint64_t seed, double scale) {
 }
 
 Graph MakeTwitterLike(uint64_t seed, double scale) {
-  Graph g = GeneratePreferentialAttachment(Scaled(40000, scale),
+  Graph g = GeneratePreferentialAttachment(Scaled(kTwitterNodes, scale),
                                            /*out_per_node=*/22,
                                            /*undirected=*/false, seed);
   g.ApplyWeightedCascade();
@@ -48,7 +58,7 @@ Graph MakeTwitterLike(uint64_t seed, double scale) {
 }
 
 Graph MakeOrkutLike(uint64_t seed, double scale) {
-  Graph g = GeneratePreferentialAttachment(Scaled(30000, scale),
+  Graph g = GeneratePreferentialAttachment(Scaled(kOrkutNodes, scale),
                                            /*out_per_node=*/20,
                                            /*undirected=*/true, seed);
   g.ApplyWeightedCascade();
@@ -83,6 +93,17 @@ std::vector<NetworkInfo> DescribeAllNetworks(uint64_t seed, double scale) {
                      g.num_edges()});
   }
   return infos;
+}
+
+std::span<const StandIn> StandIns() {
+  static constexpr StandIn kStandIns[] = {
+      {"flixster", kFlixsterNodes, &MakeFlixsterLike},
+      {"douban-book", kDoubanBookNodes, &MakeDoubanBookLike},
+      {"douban-movie", kDoubanMovieNodes, &MakeDoubanMovieLike},
+      {"twitter", kTwitterNodes, &MakeTwitterLike},
+      {"orkut", kOrkutNodes, &MakeOrkutLike},
+  };
+  return kStandIns;
 }
 
 }  // namespace uic

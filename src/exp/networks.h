@@ -8,6 +8,7 @@
 // probabilities p(u,v) = 1/din(v); callers can re-weight afterwards.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -44,5 +45,19 @@ Graph MakeOrkutLike(uint64_t seed, double scale = 1.0);
 
 /// Table-2 style descriptors for all five stand-ins (builds them).
 std::vector<NetworkInfo> DescribeAllNetworks(uint64_t seed, double scale);
+
+/// \brief A stand-in by the name `uic_run --network` and the daemon's
+/// `load_graph` give it.
+struct StandIn {
+  const char* name;   ///< flixster | douban-book | ... | orkut
+  NodeId base_nodes;  ///< node count at scale 1
+  Graph (*make)(uint64_t seed, double scale);
+};
+
+/// The five stand-ins. Each builds max(64, ⌊base_nodes · scale⌋) nodes;
+/// a `scale` whose node count is not in [0, 2^32 − 1) fails a CHECK, so
+/// callers with an outside scale test it against `base_nodes` first
+/// (exp/specs.h does).
+std::span<const StandIn> StandIns();
 
 }  // namespace uic

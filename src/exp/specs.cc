@@ -1,6 +1,7 @@
 #include "exp/specs.h"
 
 #include <cmath>
+#include <cstdio>
 
 #include "core/serialization.h"
 #include "exp/configs.h"
@@ -45,17 +46,22 @@ Result<Graph> Generate(const NetworkSpec& spec) {
     graph = GeneratePreferentialAttachment(nodes, /*out_per_node=*/5,
                                            /*undirected=*/false, spec.seed);
     graph.ApplyWeightedCascade();
-  } else if (spec.network == "flixster") {
-    graph = MakeFlixsterLike(spec.seed, spec.scale);
-  } else if (spec.network == "douban-book") {
-    graph = MakeDoubanBookLike(spec.seed, spec.scale);
-  } else if (spec.network == "douban-movie") {
-    graph = MakeDoubanMovieLike(spec.seed, spec.scale);
-  } else if (spec.network == "twitter") {
-    graph = MakeTwitterLike(spec.seed, spec.scale);
-  } else if (spec.network == "orkut") {
-    graph = MakeOrkutLike(spec.seed, spec.scale);
   } else {
+    for (const StandIn& stand_in : StandIns()) {
+      if (spec.network != stand_in.name) continue;
+      // The stand-in's node count, like `nodes`, must be below 2^32 - 1.
+      const double scaled =
+          static_cast<double>(stand_in.base_nodes) * spec.scale;
+      if (!(scaled < static_cast<double>(UINT32_MAX))) {
+        char message[128];
+        std::snprintf(message, sizeof(message),
+                      "scale %g gives network '%s' %g nodes; the limit is "
+                      "2^32 - 2",
+                      spec.scale, stand_in.name, scaled);
+        return Status::InvalidArgument(message);
+      }
+      return stand_in.make(spec.seed, spec.scale);
+    }
     return Status::InvalidArgument("unknown network '" + spec.network + "'");
   }
   return graph;

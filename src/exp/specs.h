@@ -35,7 +35,8 @@ struct NetworkSpec {
   std::optional<long long> edges;
   /// Generator seed.
   uint64_t seed = 20190630;
-  /// Stand-in size multiplier: positive and finite.
+  /// Stand-in size multiplier: positive, finite, and small enough that
+  /// the stand-in's node count (exp/networks.h) is below 2^32 - 1.
   double scale = 0.3;
   /// Re-weight every edge to this constant probability, in [0, 1];
   /// 0 keeps the weighted-cascade probabilities.

@@ -195,42 +195,34 @@ RrCollection::RrCollection(const Graph& graph, uint64_t seed,
   if (workers_ == 0) workers_ = DefaultWorkers();
   if (pool_ == nullptr) pool_ = &ThreadPool::Shared();
   for (unsigned s = 0; s < kRrStreams; ++s) own_[s].rng = Rng::Split(seed, s);
-  index_degree_.assign(graph_.num_nodes(), 0);
-}
-
-void RrCollection::Clear() {
-  // Stream positions persist, so growth after Clear continues every
-  // stream where this collection left it: a warm collection moves its
-  // base past the samples it held; a cold one drops them while its RNGs
-  // keep their positions.
-  for (unsigned s = 0; s < kRrStreams; ++s) {
-    if (cache_ != nullptr) {
-      base_[s] += QuotBegin(size_, s);
-    } else {
-      own_[s].nodes.clear();
-      own_[s].ends.clear();
-    }
-  }
-  size_ = 0;
-  total_nodes_ = 0;
-  index_.clear();
-  index_degree_.assign(graph_.num_nodes(), 0);
+  degree_.assign(graph_.num_nodes(), 0);
 }
 
 void RrCollection::Reset(uint64_t seed) {
-  Clear();
   seed_ = seed;
-  for (unsigned s = 0; s < kRrStreams; ++s) own_[s].rng = Rng::Split(seed, s);
-  base_.fill(0);
-  streams_ = nullptr;  // re-bound (to the new seed's entry) on next growth
+  for (unsigned s = 0; s < kRrStreams; ++s) {
+    own_[s].nodes.clear();
+    own_[s].ends.clear();
+    own_[s].rng = Rng::Split(seed, s);
+  }
+  own_index_.deltas.clear();
+  degree_.assign(graph_.num_nodes(), 0);
+  size_ = 0;
+  total_nodes_ = 0;
+  // Re-bound (to the new seed's entry, if warm) on the next growth.
+  streams_ = nullptr;
+  index_ = nullptr;
 }
 
 void RrCollection::BindStreams() {
+  index_ = &own_index_;
   if (cache_ != nullptr) {
     cache_->BindGraph(graph_);
     RrStreamCache::Entry* entry = cache_->GetEntry(seed_, options_);
     streams_ = entry->streams.data();
     sampling_ = &entry->sampling;
+    // Coin pools keep their private index (rr_stream_cache.h).
+    if (entry->sampling.node_pass_prob == nullptr) index_ = &entry->index;
     return;
   }
   // The per-stream samplers share one plan — the caller's, or one built
@@ -250,24 +242,24 @@ void RrCollection::BindStreams() {
 
 void RrCollection::GenerateUntil(size_t target) {
   if (target <= size_) return;
+  UIC_CHECK_LT(target, size_t{UINT32_MAX});  // set ids are uint32
   const size_t first = size_;
   if (streams_ == nullptr) BindStreams();
 
   // Each logical stream must hold this collection's slice of [0, target):
   // the global indices g with g % kRrStreams == s, i.e. QuotBegin(target,
-  // s) samples from its base. Streams already long enough (a warm cache
-  // past its high-water mark) cost nothing; the rest draw the missing
-  // samples from their own RNG, in parallel. `workers_` only bounds how
-  // many streams run concurrently; the pool content depends on the seed
-  // alone, and a cache replays byte-for-byte what a cold stream draws.
+  // s) samples. Streams already long enough (a warm cache past its
+  // high-water mark) cost nothing; the rest draw the missing samples from
+  // their own RNG, in parallel. `workers_` only bounds how many streams
+  // run concurrently; the pool content depends on the seed alone, and a
+  // cache replays byte-for-byte what a cold stream draws.
   std::array<size_t, kRrStreams> drawn{};     // sets sampled per stream
   std::array<size_t, kRrStreams> examined{};  // their edges examined
   pool_->ParallelFor(
       kRrStreams, workers_, [&](unsigned, size_t sb, size_t se) {
         for (size_t s = sb; s < se; ++s) {
           RrStream& stream = streams_[s];
-          const size_t need =
-              base_[s] + QuotBegin(target, static_cast<unsigned>(s));
+          const size_t need = QuotBegin(target, static_cast<unsigned>(s));
           const size_t have = stream.ends.size();
           if (need <= have) continue;
           if (stream.ends.capacity() < need) {
@@ -280,7 +272,7 @@ void RrCollection::GenerateUntil(size_t target) {
           size_t edges = 0;
           for (size_t i = have; i < need; ++i) {
             edges += sampler.SampleAppend(stream.rng, &stream.nodes);
-            stream.ends.push_back(stream.nodes.size());
+            stream.ends.push_back(static_cast<uint32_t>(stream.nodes.size()));
           }
           drawn[s] = need - have;
           examined[s] = edges;
@@ -290,14 +282,24 @@ void RrCollection::GenerateUntil(size_t target) {
   size_t sampled = 0;
   size_t edges = 0;
   for (unsigned s = 0; s < kRrStreams; ++s) {
-    UIC_CHECK_GE(streams_[s].ends.size(), base_[s] + QuotBegin(target, s));
+    UIC_CHECK_GE(streams_[s].ends.size(), QuotBegin(target, s));
+    // The ends just stored are uint32: a stream past 2^32 ids wrapped them.
+    UIC_CHECK_LE(streams_[s].nodes.size(), size_t{UINT32_MAX});
     total_nodes_ += StreamSlice(s, first, target).size();
     sampled += drawn[s];
     edges += examined[s];
   }
   size_ = target;
-  // One batched add per growth round (not per set) keeps the instrument
-  // cost off the sampling hot path.
+
+  // This collection's degrees count the sets [0, first). When the index
+  // held exactly those, the new delta's counts extend them; when it held
+  // more (a borrowed entry index), count the new cut from the index.
+  const size_t indexed = index_->size();
+  const size_t index_entries = indexed < size_ ? ExtendIndex() : 0;
+  if (indexed != first) CountDegrees();
+
+  // One batched add per growth round (not per set or per id) keeps the
+  // instrument cost off the sampling hot path.
   if (sampled > 0) {
     UIC_METRIC_COUNTER(rr_sets, "uic_rr_sets_sampled_total",
                        "RR sets freshly sampled (cold path + cache fills).");
@@ -306,6 +308,11 @@ void RrCollection::GenerateUntil(size_t target) {
                        "Edges examined by the RR sampling kernels.");
     rr_edges.Add(edges);
   }
+  if (index_entries > 0) {
+    UIC_METRIC_COUNTER(rr_index_entries, "uic_rr_index_entries_total",
+                       "Set ids written into new coverage-index deltas.");
+    rr_index_entries.Add(index_entries);
+  }
   if (cache_ != nullptr) {
     cache_->sampled_sets_ += sampled;
     cache_->served_sets_ += target - first;
@@ -313,7 +320,6 @@ void RrCollection::GenerateUntil(size_t target) {
                        "RR sets served by warm-cache stream replay.");
     rr_served.Add(target - first);
   }
-  ExtendIndex(first);
 }
 
 std::span<const NodeId> RrCollection::StreamSlice(unsigned s, size_t first,
@@ -321,26 +327,26 @@ std::span<const NodeId> RrCollection::StreamSlice(unsigned s, size_t first,
   if (first >= last) return {};
   const RrStream& stream = streams_[s];
   const NodeId* nodes = stream.nodes.data();
-  return {nodes + stream.Begin(base_[s] + QuotBegin(first, s)),
-          nodes + stream.Begin(base_[s] + QuotBegin(last, s))};
+  return {nodes + stream.Begin(QuotBegin(first, s)),
+          nodes + stream.Begin(QuotBegin(last, s))};
 }
 
 template <typename Fn>
 void RrCollection::ForEachSet(size_t first, size_t last, Fn&& fn) const {
   if (first >= last) return;
   std::array<const NodeId*, kRrStreams> nodes;
-  std::array<const uint64_t*, kRrStreams> ends;  // from this collection's base
-  std::array<uint64_t, kRrStreams> begin;
+  std::array<const uint32_t*, kRrStreams> ends;
+  std::array<size_t, kRrStreams> begin;
   for (unsigned s = 0; s < kRrStreams; ++s) {
     const RrStream& stream = streams_[s];
     nodes[s] = stream.nodes.data();
-    ends[s] = stream.ends.data() + base_[s];
-    begin[s] = stream.Begin(base_[s] + QuotBegin(first, s));
+    ends[s] = stream.ends.data();
+    begin[s] = stream.Begin(QuotBegin(first, s));
   }
   size_t q = first / kRrStreams;
   unsigned s = static_cast<unsigned>(first % kRrStreams);
   for (size_t r = first; r < last; ++r) {
-    const uint64_t end = ends[s][q];
+    const size_t end = ends[s][q];
     fn(r, std::span<const NodeId>(nodes[s] + begin[s], nodes[s] + end));
     begin[s] = end;
     if (++s == kRrStreams) {
@@ -358,10 +364,22 @@ size_t RrCollection::TotalEdgesExamined() const {
   return edges;
 }
 
-void RrCollection::ExtendIndex(size_t first_new) {
+size_t RrCollection::IndexDeltaCount() const {
+  if (index_ == nullptr) return 0;
+  size_t count = 0;
+  for (const CoverageIndex::Delta& d : index_->deltas) {
+    ++count;
+    if (d.end >= size_) break;
+  }
+  return count;
+}
+
+size_t RrCollection::ExtendIndex() {
+  const size_t first_new = index_->size();
   const size_t num_new = size_ - first_new;
-  if (num_new == 0) return;
-  UIC_CHECK_LT(size_, size_t{UINT32_MAX});  // ids are uint32
+  // The index now covers exactly this collection's sets, and its ids and
+  // offsets are uint32.
+  UIC_CHECK_LE(total_nodes_, size_t{UINT32_MAX});
   const size_t n = graph_.num_nodes();
 
   // Logical workers for this delta build; ParallelFor clamps identically,
@@ -387,13 +405,13 @@ void RrCollection::ExtendIndex(size_t first_new) {
   });
 
   // Prefix sums (serial): delta offsets per node, and in place of each
-  // count the start cursor for that (worker, node) region, stored
-  // *relative to off[v]* so it fits uint32 (per-node degree < 2^32) even
-  // when the delta itself holds more than 2^32 entries. Worker order per
-  // node matches set-id order, keeping ids ascending within a node.
-  IndexDelta delta;
+  // count the start cursor for that (worker, node) region, relative to
+  // off[v]. Worker order per node matches set-id order, keeping ids
+  // ascending within a node.
+  CoverageIndex::Delta delta;
+  delta.end = size_;
   delta.off.assign(n + 1, 0);
-  size_t run = 0;
+  uint32_t run = 0;
   for (size_t v = 0; v < n; ++v) {
     delta.off[v] = run;
     uint32_t rel = 0;
@@ -403,7 +421,7 @@ void RrCollection::ExtendIndex(size_t first_new) {
       slot = rel;
       rel += c;
     }
-    index_degree_[v] += rel;
+    degree_[v] += rel;
     run += rel;
   }
   delta.off[n] = run;
@@ -412,7 +430,7 @@ void RrCollection::ExtendIndex(size_t first_new) {
   // cursors; every (worker, node) writes a disjoint region.
   delta.sets.resize(run);
   uint32_t* slots = delta.sets.data();
-  const size_t* off = delta.off.data();
+  const uint32_t* off = delta.off.data();
   pool_->ParallelFor(num_new, iw, [&](unsigned w, size_t begin, size_t end) {
     uint32_t* cur = counts + static_cast<size_t>(w) * n;
     ForEachSet(first_new + begin, first_new + end,
@@ -421,7 +439,8 @@ void RrCollection::ExtendIndex(size_t first_new) {
                  for (NodeId v : set) slots[off[v] + cur[v]++] = id;
                });
   });
-  index_.push_back(std::move(delta));
+  std::vector<CoverageIndex::Delta>& deltas = index_->deltas;
+  deltas.push_back(std::move(delta));
 
   // Tiered merging (binary-counter style): fold the newest delta into its
   // predecessor while it is at least as large, so delta sizes stay
@@ -429,35 +448,63 @@ void RrCollection::ExtendIndex(size_t first_new) {
   // near-linear for any growth schedule. The hard cap then bounds the
   // retained (n+1)-entry offset arrays and per-lookup delta walks even
   // for schedules of many strictly shrinking rounds.
-  while (index_.size() >= 2 &&
-         index_.back().sets.size() >=
-             index_[index_.size() - 2].sets.size()) {
-    MergeIndexTail(index_.size() - 2);
+  while (deltas.size() >= 2 &&
+         deltas.back().sets.size() >= deltas[deltas.size() - 2].sets.size()) {
+    MergeIndexTail(deltas.size() - 2);
   }
   constexpr size_t kMaxIndexDeltas = 8;
-  if (index_.size() > kMaxIndexDeltas) MergeIndexTail(0);
+  if (deltas.size() > kMaxIndexDeltas) MergeIndexTail(0);
+  return run;
+}
+
+void RrCollection::CountDegrees() {
+  const std::vector<CoverageIndex::Delta>& deltas = index_->deltas;
+  const uint32_t cut = static_cast<uint32_t>(size_);
+  const size_t n = graph_.num_nodes();
+  uint32_t* degree = degree_.data();
+  pool_->ParallelFor(n, workers_, [&](unsigned, size_t vb, size_t ve) {
+    std::fill(degree + vb, degree + ve, 0u);
+    size_t first = 0;  // the delta's first set id
+    for (const CoverageIndex::Delta& d : deltas) {
+      if (first >= size_) break;
+      const uint32_t* off = d.off.data();
+      if (d.end <= size_) {
+        for (size_t v = vb; v < ve; ++v) degree[v] += off[v + 1] - off[v];
+      } else {
+        const uint32_t* ids = d.sets.data();
+        for (size_t v = vb; v < ve; ++v) {
+          const uint32_t* begin = ids + off[v];
+          degree[v] += static_cast<uint32_t>(
+              std::lower_bound(begin, ids + off[v + 1], cut) - begin);
+        }
+      }
+      first = d.end;
+    }
+  });
 }
 
 void RrCollection::MergeIndexTail(size_t first) {
-  if (index_.size() - first <= 1) return;
+  std::vector<CoverageIndex::Delta>& deltas = index_->deltas;
+  if (deltas.size() - first <= 1) return;
   UIC_METRIC_COUNTER(rr_merges, "uic_rr_index_merges_total",
                      "Coverage-index delta merges (tiered merging).");
   rr_merges.Add();
   const size_t n = graph_.num_nodes();
-  const size_t num_deltas = index_.size();
-  IndexDelta merged;
+  const size_t num_deltas = deltas.size();
+  CoverageIndex::Delta merged;
+  merged.end = deltas.back().end;
   merged.off.assign(n + 1, 0);
-  size_t run = 0;
+  uint32_t run = 0;
   for (size_t v = 0; v < n; ++v) {
     merged.off[v] = run;
     for (size_t d = first; d < num_deltas; ++d) {
-      run += index_[d].off[v + 1] - index_[d].off[v];
+      run += deltas[d].off[v + 1] - deltas[d].off[v];
     }
   }
   merged.off[n] = run;
   merged.sets.resize(run);
   uint32_t* slots = merged.sets.data();
-  const IndexDelta* deltas = index_.data();
+  const CoverageIndex::Delta* tail = deltas.data();
   // Parallel over node ranges: each node's merged slice is filled by
   // walking the tail deltas in order, preserving ascending set-id order;
   // regions are disjoint per node.
@@ -465,14 +512,14 @@ void RrCollection::MergeIndexTail(size_t first) {
     for (size_t v = begin; v < end; ++v) {
       uint32_t* out = slots + merged.off[v];
       for (size_t d = first; d < num_deltas; ++d) {
-        const IndexDelta& dd = deltas[d];
-        const size_t d_end = dd.off[v + 1];
-        for (size_t i = dd.off[v]; i < d_end; ++i) *out++ = dd.sets[i];
+        const CoverageIndex::Delta& dd = tail[d];
+        out = std::copy(dd.sets.data() + dd.off[v],
+                        dd.sets.data() + dd.off[v + 1], out);
       }
     }
   });
-  index_.resize(first);
-  index_.push_back(std::move(merged));
+  deltas.resize(first);
+  deltas.push_back(std::move(merged));
 }
 
 }  // namespace uic

@@ -26,13 +26,24 @@
 //     with bit-identical results.
 //
 // Storage has one format, `RrStream`: per stream, every sample's node ids
-// back to back plus one 8-byte end offset per sample. A cold collection
+// back to back plus one 4-byte end offset per sample. A cold collection
 // owns its 16 streams; a warm one borrows those of an `RrStreamCache`
 // entry. Either way the collection keeps no per-set data — set g is
-// sample base[s] + g / kRrStreams of stream s = g % kRrStreams, where
-// base[s] is where the collection started reading stream s.
+// sample g / kRrStreams of stream g % kRrStreams.
+//
+// The coverage index has one format too, `CoverageIndex`. A cold
+// collection owns one. A warm collection on a coin-free cache entry
+// borrows the entry's, which covers the entry's longest pool so far: the
+// collection that first grows the entry past the index extends it, and
+// every other one reads it cut at its own size. Each node's set ids
+// ascend, so the cut is a per-node count — the collection's degree array
+// — and a warm re-solve builds no index at all. Coin pools (a
+// node-pass-probability vector) keep a private index even when warm: their
+// entries rarely repeat (rr_stream_cache.h), so a resident index would
+// cost memory that is never reused.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <memory>
@@ -57,7 +68,9 @@ inline constexpr unsigned kRrStreams = kRngStreams;
 /// Sample i occupies `nodes[Begin(i) .. ends[i])`. A sample can be empty
 /// (a coin-pool root that fails its coin): then ends[i] == ends[i − 1].
 /// Owned by a cold RrCollection or by an RrStreamCache entry, and only
-/// ever appended to, by RrCollection::GenerateUntil.
+/// ever appended to, by RrCollection::GenerateUntil. Ends are uint32, so
+/// a stream holds fewer than 2^32 node ids (checked on growth): 4 bytes
+/// per set plus 4 per id.
 ///
 /// Workers extend distinct streams concurrently and write the RNG state
 /// and both vectors' ends on every draw, so each stream gets cache lines
@@ -66,9 +79,30 @@ inline constexpr unsigned kRrStreams = kRngStreams;
 struct alignas(64) RrStream {
   Rng rng;                     ///< positioned after ends.size() draws
   std::vector<NodeId> nodes;   ///< every sample's node ids, back to back
-  std::vector<uint64_t> ends;  ///< end offset into `nodes`, one per sample
+  std::vector<uint32_t> ends;  ///< end offset into `nodes`, one per sample
 
-  uint64_t Begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+  size_t Begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+};
+
+/// \brief The node→RR-set coverage index over a pool's first `size()`
+/// sets: a list of CSR deltas, each over a contiguous range of set ids.
+///
+/// In delta d, `sets[off[v] .. off[v+1])` are the ids of its sets that
+/// contain v, ascending; the deltas' ranges ascend too, so concatenating
+/// node v's slices over the deltas lists every set containing v in id
+/// order. Owned by a cold or coin-pool RrCollection, or by a coin-free
+/// RrStreamCache entry, and extended only by RrCollection::GenerateUntil.
+/// Set ids and offsets are uint32, so one index holds fewer than 2^32 sets
+/// and 2^32 ids (checked): 4 bytes per id plus 4 · (n + 1) per delta.
+struct CoverageIndex {
+  struct Delta {
+    size_t end = 0;              ///< one past the last set id covered
+    std::vector<uint32_t> off;   ///< graph.num_nodes() + 1
+    std::vector<uint32_t> sets;  ///< set ids, ascending per node
+  };
+  std::vector<Delta> deltas;  ///< ascending, contiguous id ranges from 0
+
+  size_t size() const { return deltas.empty() ? 0 : deltas.back().end; }
 };
 
 /// \brief Options modifying RR sampling semantics.
@@ -89,10 +123,11 @@ struct RrOptions {
   /// Optional warm-start hook (the sweep engine's pool-reuse point): when
   /// set, `GenerateUntil` serves samples from the cache — extending it by
   /// sampling only past its high-water mark — instead of drawing them
-  /// fresh. Results are bit-identical to a cold collection; only the
-  /// number of sets sampled from scratch changes. Does not affect
-  /// sampling semantics, so it is ignored by the cache's own entry
-  /// keying. The cache must outlive the collection.
+  /// fresh, and on a coin-free entry borrows the entry's coverage index
+  /// instead of building its own. Results are bit-identical to a cold
+  /// collection; only the number of sets sampled from scratch changes.
+  /// Does not affect sampling semantics, so it is ignored by the cache's
+  /// own entry keying. The cache must outlive the collection.
   RrStreamCache* stream_cache = nullptr;
 
   /// Sampling kernel (graph/sampling_plan.h). kScan is the legacy
@@ -126,8 +161,8 @@ class RrCollection {
   RrCollection(const Graph& graph, uint64_t seed, unsigned workers = 0,
                RrOptions options = {}, ThreadPool* pool = nullptr);
 
-  // Not copyable: a collection reads its sets through a pointer to its
-  // streams (its own, or a shared RrStreamCache entry's), which a copy
+  // Not copyable: a collection reads its sets and index through pointers
+  // (to its own, or to a shared RrStreamCache entry's), which a copy
   // would alias.
   RrCollection(const RrCollection&) = delete;
   RrCollection& operator=(const RrCollection&) = delete;
@@ -141,11 +176,10 @@ class RrCollection {
   /// Nodes of RR set `r`. The span points into stream storage that growth
   /// may reallocate: it is valid only until the next GenerateUntil of ANY
   /// collection reading the same streams (this one, or another collection
-  /// on the same RrStreamCache entry), or this collection's Clear()/Reset().
+  /// on the same RrStreamCache entry), or this collection's Reset().
   std::span<const NodeId> Set(size_t r) const {
-    const unsigned s = static_cast<unsigned>(r % kRrStreams);
-    const RrStream& stream = streams_[s];
-    const size_t i = base_[s] + r / kRrStreams;
+    const RrStream& stream = streams_[r % kRrStreams];
+    const size_t i = r / kRrStreams;
     return {stream.nodes.data() + stream.Begin(i),
             stream.nodes.data() + stream.ends[i]};
   }
@@ -162,58 +196,51 @@ class RrCollection {
 
   unsigned workers() const { return workers_; }
 
-  /// Drop all sets and the index (used by the regeneration fix of
-  /// PRIMA/IMM: the final NodeSelection must run on freshly sampled sets).
-  /// Stream positions persist: subsequent growth continues the streams
-  /// where they left off, exactly as the underlying RNGs would.
-  void Clear();
-
-  /// Clear *and* reseed the sample streams: the collection becomes
+  /// Drop all sets and reseed the sample streams: the collection becomes
   /// indistinguishable from a freshly constructed `RrCollection(graph,
   /// seed, workers, options)` while keeping its thread pool and any
   /// attached stream cache. This is how one engine instance serves a
-  /// whole solver invocation, including PRIMA's regeneration pass.
+  /// whole solver invocation, including PRIMA's regeneration pass (the
+  /// final NodeSelection must run on freshly sampled sets).
   void Reset(uint64_t seed);
 
   // --- Coverage index ---------------------------------------------------
-  // Maintained by GenerateUntil (extended per growth round, in parallel)
-  // and invalidated only by Clear()/Reset(). For every node v it lists the
-  // ids of the RR sets containing v, in ascending id order.
+  // Maintained by GenerateUntil (extended per growth round, in parallel,
+  // or borrowed from the cache entry and cut at size()) and dropped only
+  // by Reset(). For every node v it lists the ids of the RR sets
+  // containing v, in ascending id order. A borrowed index is read through
+  // the entry on every call, so another collection's growth of the entry
+  // (which may reallocate and merge its deltas) never invalidates it.
 
   /// Number of RR sets containing `v`.
-  uint32_t IndexDegree(NodeId v) const { return index_degree_[v]; }
+  uint32_t IndexDegree(NodeId v) const { return degree_[v]; }
 
   /// Invoke `fn(set_id)` for every RR set containing `v`, in ascending
-  /// set-id order.
+  /// set-id order. Ids ascend across the deltas, so the first
+  /// IndexDegree(v) of node v's entries are exactly the sets below the
+  /// cut: deltas past it are never read, and no id needs a check.
   template <typename Fn>
   void ForEachSetContaining(NodeId v, Fn&& fn) const {
-    for (const IndexDelta& d : index_) {
-      const size_t begin = d.off[v];
-      const size_t end = d.off[v + 1];
-      for (size_t i = begin; i < end; ++i) fn(d.sets[i]);
+    uint32_t left = degree_[v];
+    for (size_t d = 0; left > 0; ++d) {
+      const CoverageIndex::Delta& delta = index_->deltas[d];
+      const uint32_t* ids = delta.sets.data() + delta.off[v];
+      const uint32_t take = std::min(left, delta.off[v + 1] - delta.off[v]);
+      for (uint32_t i = 0; i < take; ++i) fn(ids[i]);
+      left -= take;
     }
   }
 
-  /// Number of CSR deltas the index currently consists of (one per growth
-  /// round; exposed for tests and instrumentation).
-  size_t IndexDeltaCount() const { return index_.size(); }
+  /// Number of CSR deltas this collection reads (those that begin below
+  /// size(); exposed for tests and instrumentation).
+  size_t IndexDeltaCount() const;
 
  private:
-  /// One growth round's contribution to the inverted index, in CSR form:
-  /// `sets[off[v] .. off[v+1])` are the ids of this round's RR sets that
-  /// contain v. Offsets are size_t (a delta can hold the whole pool after
-  /// compaction — or after PRIMA's regeneration, which samples the final
-  /// pool in one round); set ids are uint32, bounding the pool at 2^32
-  /// sets (checked).
-  struct IndexDelta {
-    std::vector<size_t> off;     // graph.num_nodes() + 1
-    std::vector<uint32_t> sets;  // global RR set ids, ascending per node
-  };
-
   /// Point `streams_` at the streams this collection reads — its own, or
-  /// the attached cache's entry for (seed, options) — and `sampling_` at
-  /// the options their samplers run with. Done on the first growth after
-  /// construction or Reset().
+  /// the attached cache's entry for (seed, options) — `sampling_` at the
+  /// options their samplers run with, and `index_` at the index it
+  /// extends or borrows. Done on the first growth after construction or
+  /// Reset().
   void BindStreams();
 
   /// The node ids of the sets [first, last) that live in stream `s`: one
@@ -227,9 +254,17 @@ class RrCollection {
   template <typename Fn>
   void ForEachSet(size_t first, size_t last, Fn&& fn) const;
 
-  /// Build the CSR delta for the new sets [first_new, size()) in parallel
-  /// and append it to the index, merging deltas per the tiering policy.
-  void ExtendIndex(size_t first_new);
+  /// Build the CSR delta for the sets [index_->size(), size()) in
+  /// parallel, add its per-node counts to `degree_`, append it to the
+  /// index and merge deltas per the tiering policy. Returns the number of
+  /// set ids written into the delta.
+  size_t ExtendIndex();
+
+  /// Set `degree_` to each node's count of set ids below size() in the
+  /// index — the cut of a borrowed index. Deltas wholly below the cut
+  /// count in full; in the one that straddles it, a binary search finds
+  /// the cut in each node's ascending ids.
+  void CountDegrees();
 
   /// Merge deltas [first, end) into one, preserving per-node ascending
   /// set-id order. Called with binary-counter tiering (merge while the
@@ -253,14 +288,14 @@ class RrCollection {
   std::array<RrStream, kRrStreams> own_;  ///< a cold collection's streams
   RrStream* streams_ = nullptr;           ///< own_ or a cache entry's
   const RrOptions* sampling_ = nullptr;   ///< sampler options for streams_
-  /// Per stream, the sample index this collection's first set of that
-  /// stream lives at (nonzero only for a warm collection after Clear()).
-  std::array<size_t, kRrStreams> base_{};
+  CoverageIndex own_index_;               ///< a cold or coin pool's index
+  CoverageIndex* index_ = nullptr;        ///< own_index_ or a cache entry's
   size_t size_ = 0;
   size_t total_nodes_ = 0;
 
-  std::vector<uint32_t> index_degree_;  ///< per node, summed over deltas
-  std::vector<IndexDelta> index_;
+  /// Per node, the number of sets below size_ containing it: the whole
+  /// index when this collection built it, a cut of a borrowed one.
+  std::vector<uint32_t> degree_;
 };
 
 /// \brief Single-threaded RR sampler (exposed for tests and custom loops).

@@ -14,6 +14,14 @@
 // bit-identical results warm or cold; the only difference is how many RR
 // sets are sampled from scratch.
 //
+// A coin-free entry also owns the coverage index over its longest pool so
+// far, and its collections borrow it cut at their own sizes
+// (rr_collection.h), so a repeated solve builds no index either. That
+// index stays resident with the entry: 4 bytes per set id plus 4 · (n + 1)
+// per CSR delta (at most 8). Coin entries (a node-pass-probability vector)
+// keep no index: their contents usually change with the budget point, so
+// their collections index privately.
+//
 // This is what makes budget sweeps cheap: consecutive PRIMA invocations at
 // growing budgets use the same master seed, so their phase pools (and,
 // separately, their regeneration pools) are nested prefixes of the same
@@ -26,12 +34,15 @@
 // solver invocations; a SweepRunner drives solves sequentially. It is
 // therefore deliberately mutex-free and carries no thread-safety
 // capabilities (common/annotations.h): the only intra-solve concurrency
-// is one collection extending *distinct* streams of an entry under the
-// ParallelFor barrier, and the counters are updated after that barrier.
+// is one collection extending *distinct* streams of an entry, or building
+// one index delta, under the ParallelFor barrier, and the counters are
+// updated after that barrier.
 //
 // Growth of any collection on an entry may reallocate the entry's stream
-// arrays, so a `RrCollection::Set()` span from a collection on the same
-// entry is valid only until that growth (rr_collection.h).
+// arrays and merge its index deltas, so a `RrCollection::Set()` span from
+// a collection on the same entry is valid only until that growth
+// (rr_collection.h); collections read the entry's index afresh on every
+// call.
 #pragma once
 
 #include <array>
@@ -66,7 +77,7 @@ class RrStreamCache {
   Stats stats() const;
 
   /// Drop every entry (collections serving from this cache must be
-  /// discarded first — they borrow the entries' streams).
+  /// discarded first — they borrow the entries' streams and indexes).
   void Clear();
 
   /// Drop all but the `keep` most recently created node-pass-probability
@@ -99,14 +110,17 @@ class RrStreamCache {
     /// from this entry). Also the entry's key, with `seed`.
     RrOptions sampling;
     std::array<RrStream, kRrStreams> streams;
+    /// The coverage index over the streams' longest pool so far, shared by
+    /// the entry's collections; unused (empty) on a coin entry.
+    CoverageIndex index;
   };
 
   /// Bind to (or verify against) `graph`; the cache serves one graph.
   void BindGraph(const Graph& graph);
 
   /// Find-or-create the entry for (seed, options-semantics). Entries are
-  /// heap-allocated, so the pointer and its streams stay put until the
-  /// entry is dropped by Clear() or TrimPassProbEntries().
+  /// heap-allocated, so the pointer, its streams and its index stay put
+  /// until the entry is dropped by Clear() or TrimPassProbEntries().
   Entry* GetEntry(uint64_t seed, const RrOptions& options);
 
   const Graph* graph_ = nullptr;

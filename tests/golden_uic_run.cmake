@@ -114,6 +114,10 @@ expect_exit(items_above_max 1
   --config additive --items 40)
 expect_exit(negative_scale 1
   --algorithm bundle-grd --network douban-movie --scale -1)
+# A stand-in scale whose node count is 2^32 - 1 or more (once undefined
+# behaviour converting 4e16 to a 32-bit node count).
+expect_exit(stand_in_scale_above_max 1
+  --algorithm bundle-grd --network twitter --scale 1e12)
 expect_exit(probability_above_one 1
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --p 2.5)
 

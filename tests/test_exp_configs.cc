@@ -201,7 +201,7 @@ NetworkSpec SmallEr() {
 }
 
 TEST(Specs, NetworkSpecsOutsideTheLimitsAreInvalidArgument) {
-  std::vector<NetworkSpec> bad(10, SmallEr());
+  std::vector<NetworkSpec> bad(11, SmallEr());
   bad[0].nodes = 1;  // er needs two nodes
   bad[1].network = "pa";
   bad[1].nodes = 5;  // pa needs six
@@ -213,6 +213,8 @@ TEST(Specs, NetworkSpecsOutsideTheLimitsAreInvalidArgument) {
   bad[7].p = 2.5;
   bad[8].p = -0.1;
   bad[9].network = "mars";
+  bad[10].network = "twitter";
+  bad[10].scale = 1e12;  // 4e16 nodes: rejected before generating
   for (size_t i = 0; i < bad.size(); ++i) {
     const Result<Graph> graph = BuildNetwork(bad[i]);
     ASSERT_FALSE(graph.ok()) << "case " << i;

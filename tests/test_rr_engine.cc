@@ -12,11 +12,15 @@
 #include <algorithm>
 #include <cstring>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "exp/configs.h"
+#include "exp/solve.h"
 #include "graph/generators.h"
+#include "obs/metrics.h"
 #include "rrset/node_selection.h"
 #include "rrset/prima.h"
 #include "rrset/rr_collection.h"
@@ -428,32 +432,136 @@ TEST(RrStreamCacheTest, TrimDropsOldestCoinEntriesKeepsPlainOnes) {
 }
 
 TEST(RrStreamCacheTest, BorrowedStreamsSurviveGrowthByAnotherCollection) {
-  // A warm collection reads its sets out of the cache entry's streams. A
-  // second collection on the same entry then grows those streams far past
-  // the first one's size, which reallocates the per-stream arrays; the
-  // first collection must still see exactly the cold pool, so nothing may
-  // keep a raw pointer into a stream across growth.
+  // A warm collection reads its sets out of the cache entry's streams and
+  // its index out of the entry's index. A second collection on the same
+  // entry grows both far past the first one's size, which reallocates the
+  // per-stream arrays and merges the first collection's delta into one
+  // delta over [0, 20000); the first collection's later sizes then cut
+  // that merged delta. It must still see exactly the cold pool and index,
+  // also after a third collection merges the entry's index again, so
+  // nothing may keep a raw pointer into a stream or a delta across growth.
   Graph g = GoldenGraph();
+  for (const bool lt : {false, true}) {
+    SCOPED_TRACE(lt ? "lt" : "ic");
+    RrStreamCache cache;
+    RrOptions warm_opt;
+    warm_opt.linear_threshold = lt;
+    warm_opt.stream_cache = &cache;
+    RrOptions cold_opt;
+    cold_opt.linear_threshold = lt;
+    RrCollection a(g, 77, 4, warm_opt);
+    a.GenerateUntil(500);
+    {
+      RrCollection b(g, 77, 4, warm_opt);
+      b.GenerateUntil(20000);
+    }
+    for (size_t size : {777ul, 1500ul}) {
+      a.GenerateUntil(size);
+      EXPECT_EQ(a.IndexDeltaCount(), 1u) << "size " << size;
+      RrCollection cold(g, 77, 4, cold_opt);
+      cold.GenerateUntil(size);
+      const SeedSelection want = NodeSelection(cold, 20);
+      for (const size_t other : {0ul, 45000ul}) {
+        if (other > 0) {
+          RrCollection c(g, 77, 4, warm_opt);
+          c.GenerateUntil(other);
+        }
+        EXPECT_EQ(PoolHash(a), PoolHash(cold)) << "size " << size;
+        ExpectIndexMatchesReference(a);
+        const SeedSelection got = NodeSelection(a, 20);
+        EXPECT_EQ(got.seeds, want.seeds) << "size " << size;
+        EXPECT_EQ(got.coverage, want.coverage) << "size " << size;
+      }
+    }
+  }
+}
+
+obs::Counter& IndexEntriesCounter() {
+  UIC_METRIC_COUNTER(entries, "uic_rr_index_entries_total",
+                     "Set ids written into new coverage-index deltas.");
+  return entries;
+}
+
+TEST(RrStreamCacheTest, ReplayedSolveBorrowsTheIndexAndSamplesNothing) {
+  // A repeated bundle-grd request on the same cache replays PRIMA's phase
+  // and regeneration pools from the cached streams and reads both
+  // entries' coverage indexes cut at its own sizes: it samples no set and
+  // writes no index entry, and answers bit-identically.
+  Graph g = GoldenGraph();
+  for (const bool lt : {false, true}) {
+    WelfareProblem problem;
+    problem.graph = &g;
+    problem.params = MakeTwoItemConfig12();
+    problem.budgets = {6, 3};
+    problem.model = lt ? DiffusionModel::kLinearThreshold
+                       : DiffusionModel::kIndependentCascade;
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(std::string(lt ? "lt" : "ic") + " workers " +
+                   std::to_string(workers));
+      SolveSpec spec;
+      spec.algorithm = "bundle-grd";
+      spec.options.eps = 0.3;
+      spec.options.seed = 12;
+      spec.options.workers = workers;
+      spec.eval_sims = 100;
+      spec.eval_seed = 3;
+      RrStreamCache cache;
+      const uint64_t entries_before = IndexEntriesCounter().Value();
+      Result<SolveOutcome> first = RunSolve(problem, spec, &cache);
+      ASSERT_TRUE(first.ok()) << first.status().ToString();
+      EXPECT_GT(IndexEntriesCounter().Value(), entries_before);
+      EXPECT_GT(first.value().rr_sets_sampled, 0u);
+
+      const uint64_t entries_between = IndexEntriesCounter().Value();
+      Result<SolveOutcome> replay = RunSolve(problem, spec, &cache);
+      ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+      EXPECT_EQ(IndexEntriesCounter().Value(), entries_between);
+      EXPECT_EQ(replay.value().rr_sets_sampled, 0u);
+      EXPECT_EQ(replay.value().rr_sets_served, first.value().rr_sets_served);
+
+      const AllocationResult& want = first.value().result;
+      const AllocationResult& got = replay.value().result;
+      EXPECT_EQ(got.ranking, want.ranking);
+      EXPECT_EQ(got.allocation.entries(), want.allocation.entries());
+      EXPECT_EQ(got.num_rr_sets, want.num_rr_sets);
+      ASSERT_TRUE(first.value().welfare.has_value());
+      ASSERT_TRUE(replay.value().welfare.has_value());
+      EXPECT_EQ(replay.value().welfare->welfare,
+                first.value().welfare->welfare);
+      EXPECT_EQ(replay.value().welfare->std_error,
+                first.value().welfare->std_error);
+    }
+  }
+}
+
+TEST(RrStreamCacheTest, WarmCoinPoolsIndexPrivately) {
+  // Coin entries share their streams but not an index: every warm coin
+  // collection builds its own, and it equals the reference.
+  Graph g = GoldenGraph();
+  std::vector<float> coins(g.num_nodes(), 0.6f);
   RrStreamCache cache;
-  RrOptions warm_opt;
-  warm_opt.stream_cache = &cache;
-  RrCollection a(g, 77, 4, warm_opt);
-  a.GenerateUntil(500);
-  {
-    RrCollection b(g, 77, 4, warm_opt);
-    b.GenerateUntil(20000);
-  }
-  for (size_t size : {500ul, 1000ul}) {
-    a.GenerateUntil(size);
-    RrCollection cold(g, 77, 4);
-    cold.GenerateUntil(size);
-    EXPECT_EQ(PoolHash(a), PoolHash(cold)) << "size " << size;
-    ExpectIndexMatchesReference(a);
-    const SeedSelection got = NodeSelection(a, 20);
-    const SeedSelection want = NodeSelection(cold, 20);
-    EXPECT_EQ(got.seeds, want.seeds) << "size " << size;
-    EXPECT_EQ(got.coverage, want.coverage) << "size " << size;
-  }
+  RrOptions opt;
+  opt.node_pass_prob = &coins;
+  opt.stream_cache = &cache;
+  RrCollection a(g, 3, 4, opt);
+  a.GenerateUntil(300);
+  a.GenerateUntil(800);
+  ExpectIndexMatchesReference(a);
+
+  const size_t sampled = cache.stats().sampled_sets;
+  const uint64_t entries_before = IndexEntriesCounter().Value();
+  RrCollection b(g, 3, 4, opt);
+  b.GenerateUntil(500);
+  EXPECT_EQ(cache.stats().sampled_sets, sampled);
+  EXPECT_EQ(IndexEntriesCounter().Value() - entries_before, b.TotalNodes());
+  ExpectIndexMatchesReference(b);
+  ExpectIndexMatchesReference(a);
+
+  RrOptions cold_opt;
+  cold_opt.node_pass_prob = &coins;
+  RrCollection cold(g, 3, 4, cold_opt);
+  cold.GenerateUntil(500);
+  EXPECT_EQ(PoolHash(b), PoolHash(cold));
 }
 
 // --- exact sampling totals --------------------------------------------
@@ -534,28 +642,6 @@ TEST(RrEngineTotals, PinnedAndEqualToSamplerReturnsOverTheGrid) {
   }
 }
 
-TEST(RrEngineTotals, WarmTotalsEqualColdAfterClear) {
-  // A warm collection that Clears and regrows continues its streams where
-  // it stopped; its totals count only the sets it now holds.
-  Graph g = GoldenGraph();
-  RrStreamCache cache;
-  RrOptions warm_opt;
-  warm_opt.stream_cache = &cache;
-  RrCollection warm(g, 42, 4, warm_opt);
-  RrCollection cold(g, 42, 4);
-  for (RrCollection* pool : {&warm, &cold}) {
-    pool->GenerateUntil(700);
-    pool->Clear();
-    EXPECT_EQ(pool->TotalNodes(), 0u);
-    EXPECT_EQ(pool->TotalEdgesExamined(), 0u);
-    pool->GenerateUntil(1300);
-    ExpectIndexMatchesReference(*pool);
-  }
-  EXPECT_EQ(PoolHash(warm), PoolHash(cold));
-  EXPECT_EQ(warm.TotalNodes(), cold.TotalNodes());
-  EXPECT_EQ(warm.TotalEdgesExamined(), cold.TotalEdgesExamined());
-}
-
 // --- run-to-run determinism -------------------------------------------
 
 TEST(RrEngineDeterminism, PoolIsByteIdenticalAcrossRuns) {
@@ -628,7 +714,7 @@ TEST(RrEngineIndex, IncrementalEqualsFreshlyBuiltAfterInterleavedGrowth) {
   pool.GenerateUntil(2005);
   EXPECT_EQ(pool.IndexDeltaCount(), 2u);
   ExpectIndexMatchesReference(pool);
-  pool.Clear();  // invalidated only by Clear()
+  pool.Reset(51);  // dropped only by Reset()
   EXPECT_EQ(pool.IndexDeltaCount(), 0u);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(pool.IndexDegree(v), 0u);

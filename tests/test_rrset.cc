@@ -105,13 +105,14 @@ TEST(RrCollection, GrowsToTargetAndIsDeterministic) {
   }
 }
 
-TEST(RrCollection, ClearResetsPool) {
+TEST(RrCollection, ResetEmptiesPool) {
   Graph g = GenerateErdosRenyi(50, 200, 8);
   RrCollection pool(g, 1, 2);
   pool.GenerateUntil(100);
-  pool.Clear();
+  pool.Reset(2);
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.TotalNodes(), 0u);
+  EXPECT_EQ(pool.TotalEdgesExamined(), 0u);
   pool.GenerateUntil(10);
   EXPECT_GE(pool.size(), 10u);
 }

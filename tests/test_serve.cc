@@ -797,9 +797,11 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
   // cannot hold, the fourth in the ItemParams item-count CHECK, the last
   // two in an out-of-bounds write (a node count of 2^32 - 1 wraps the
   // 32-bit CSR offsets). The fifth once fell back to scale 0.3 silently.
-  // The last four once read a wrongly typed string field as absent: they
+  // The next four once read a wrongly typed string field as absent: they
   // solved bundle-grd, solved under IC, ran the generator and unloaded
-  // "g". Now each gets its reply and the daemon keeps serving.
+  // "g". The last converted a 4e16 node count to 32 bits, which is
+  // undefined behaviour. Now each gets its reply and the daemon keeps
+  // serving.
   struct Case {
     std::string request;
     const char* want;
@@ -842,6 +844,9 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
        "\"network\":\"er\",\"nodes\":50,\"edges\":200}",
        "\"code\":\"bad_request\""},
       {"{\"id\":50,\"verb\":\"unload\",\"graph\":\"g\",\"params\":false}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":51,\"verb\":\"load_graph\",\"name\":\"gt\","
+       "\"network\":\"twitter\",\"scale\":1e12}",
        "\"code\":\"bad_request\""},
   };
   Server server(GoldenOptions());
