@@ -259,25 +259,32 @@ BENCHMARK(BM_BudgetSweep)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 // sampling cost every time. Responses are bit-identical either way (the
 // determinism contract); `rr_sampled_per_query` shows warm at 0 after the
 // first fill, and the time ratio is the serving speedup the warm cache
-// buys (acceptance bar: >= 2x).
+// buys (acceptance bar: >= 2x). The second argument picks the instance:
+// 0 is ER(2000) with budgets [5,5]; 1 is the perfbench serve-mixed graph
+// and request (weighted-cascade PA(100k), eps 0.2, budgets [50,50]),
+// where a warm re-solve's per-node costs show.
 void BM_ServeRepeatedQuery(benchmark::State& state) {
   const bool warm = state.range(0) != 0;
+  const bool pa = state.range(1) != 0;
   serve::ServerOptions options;
   options.include_timing = false;
   serve::Server server(options);
   UIC_CHECK(server
-                .HandleLine("{\"verb\":\"load_graph\",\"name\":\"g\","
-                            "\"network\":\"er\",\"nodes\":2000,"
-                            "\"edges\":12000}")
+                .HandleLine(pa ? "{\"verb\":\"load_graph\",\"name\":\"g\","
+                                 "\"network\":\"pa\",\"nodes\":100000}"
+                               : "{\"verb\":\"load_graph\",\"name\":\"g\","
+                                 "\"network\":\"er\",\"nodes\":2000,"
+                                 "\"edges\":12000}")
                 .find("\"ok\":true") != std::string::npos);
   UIC_CHECK(server
                 .HandleLine("{\"verb\":\"load_params\",\"name\":\"p\","
                             "\"config\":\"config12\"}")
                 .find("\"ok\":true") != std::string::npos);
   const std::string request =
-      std::string("{\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
-                  "\"budgets\":[5,5],\"seed\":4,\"warm\":") +
-      (warm ? "true}" : "false}");
+      std::string("{\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\",") +
+      (pa ? "\"budgets\":[50,50],\"seed\":4,\"eps\":0.2,"
+          : "\"budgets\":[5,5],\"seed\":4,") +
+      "\"warm\":" + (warm ? "true}" : "false}");
   size_t queries = 0, sampled = 0;
   for (auto _ : state) {
     const std::string response = server.HandleLine(request);
@@ -292,7 +299,10 @@ void BM_ServeRepeatedQuery(benchmark::State& state) {
   state.counters["rr_sampled_per_query"] =
       static_cast<double>(sampled) / static_cast<double>(queries);
 }
-BENCHMARK(BM_ServeRepeatedQuery)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ServeRepeatedQuery)
+    ->ArgsProduct({{0, 1}, {0, 1}})
+    ->ArgNames({"warm", "pa"})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace uic

@@ -73,7 +73,10 @@ constexpr const char* kUsage =
     "  --config NAME      config12 | config34 | additive | cone-max |\n"
     "                     cone-min | levelwise | real | none\n"
     "                     (default config12; 'none' skips welfare eval)\n"
-    "  --items S          item count for additive/cone/levelwise (default 2)\n"
+    "  --items S          item count for additive/cone/levelwise (default 2):\n"
+    "                     at most 30; 20 for cone-* and for solves that\n"
+    "                     evaluate utilities (--mc > 0, mc-greedy, bdhs);\n"
+    "                     16 for levelwise\n"
     "  --param-seed S     levelwise generation seed (default 8)\n"
     "  --budget K         uniform per-item budget   (default 10)\n"
     "  --budgets A,B,..   explicit per-item budgets (overrides --budget)\n"

@@ -6,6 +6,7 @@
 #include "common/check.h"
 #include "common/timer.h"
 #include "diffusion/lt_model.h"
+#include "items/utility_table.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/registry.h"
@@ -28,6 +29,13 @@ Status CheckSolve(const WelfareProblem& problem, const SolveSpec& spec) {
     return Status::InvalidArgument(
         "eval_sims must be in [0, " + std::to_string(kMaxEvalSims) +
         "], got " + std::to_string(spec.eval_sims));
+  }
+  if (spec.eval_sims > 0 && problem.params.has_value() &&
+      problem.params->num_items() > kMaxTabulatedItems) {
+    return Status::InvalidArgument(
+        "a welfare estimate tabulates all 2^items utilities: at most " +
+        std::to_string(kMaxTabulatedItems) + " items, got " +
+        std::to_string(problem.params->num_items()));
   }
   return Status::OK();
 }

@@ -40,7 +40,8 @@ struct SolveOutcome {
 
 /// NotFound (listing the solver table) for an unknown algorithm, whatever
 /// Solver::Validate rejects, and InvalidArgument for eval_sims outside
-/// [0, kMaxEvalSims].
+/// [0, kMaxEvalSims] or for an estimate over more than kMaxTabulatedItems
+/// items (items/utility_table.h).
 [[nodiscard]] Status CheckSolve(const WelfareProblem& problem,
                                 const SolveSpec& spec);
 

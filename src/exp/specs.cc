@@ -8,6 +8,7 @@
 #include "exp/networks.h"
 #include "graph/generators.h"
 #include "items/itemset.h"
+#include "items/utility_table.h"
 
 namespace uic {
 
@@ -94,6 +95,17 @@ Result<ItemParams> BuildConfig(const ConfigSpec& spec) {
   if (!spec.path.empty()) return LoadItemParams(spec.path);
   const Status st = CheckItemCount(spec.items);
   if (!st.ok()) return st;
+  // The cone configurations tabulate 2^items values when built, and
+  // levelwise generation costs items · 3^(items − 1).
+  const bool cone = spec.config == "cone-max" || spec.config == "cone-min";
+  const long long limit = cone                       ? kMaxTabulatedItems
+                          : spec.config == "levelwise" ? kMaxLevelwiseItems
+                                                       : kMaxItems;
+  if (spec.items > limit) {
+    return Status::InvalidArgument("config '" + spec.config +
+                                   "' allows at most " + std::to_string(limit) +
+                                   " items, got " + std::to_string(spec.items));
+  }
   const ItemId items = static_cast<ItemId>(spec.items);
   if (spec.config == "config12") return MakeTwoItemConfig12();
   if (spec.config == "config34") return MakeTwoItemConfig34();

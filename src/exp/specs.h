@@ -43,6 +43,10 @@ struct NetworkSpec {
   double p = 0.0;
 };
 
+/// Most items for the levelwise configuration, whose generation costs
+/// k · 3^(k−1) (about 1.2 s at 16 items).
+inline constexpr long long kMaxLevelwiseItems = 16;
+
 /// \brief What BuildConfig builds.
 struct ConfigSpec {
   /// A SaveItemParams file; when set, the other fields are ignored.
@@ -51,7 +55,9 @@ struct ConfigSpec {
   /// real.
   std::string config = "config12";
   /// Item count for additive, cone-max, cone-min and levelwise, in
-  /// [1, kMaxItems].
+  /// [1, kMaxItems]; at most kMaxTabulatedItems (items/utility_table.h)
+  /// for cone-max and cone-min, which tabulate 2^items values, and at most
+  /// kMaxLevelwiseItems for levelwise.
   long long items = 2;
   /// Levelwise generation seed.
   uint64_t seed = 8;
@@ -63,7 +69,7 @@ struct ConfigSpec {
 [[nodiscard]] Result<Graph> BuildNetwork(const NetworkSpec& spec);
 
 /// Load or build the configuration `spec` names. InvalidArgument for an
-/// unknown configuration or an item count CheckItemCount rejects.
+/// unknown configuration or an item count outside its limits.
 [[nodiscard]] Result<ItemParams> BuildConfig(const ConfigSpec& spec);
 
 /// The item-count limit: InvalidArgument unless `items` is in

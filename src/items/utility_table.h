@@ -12,6 +12,12 @@
 
 namespace uic {
 
+/// Most items a front end lets a configuration or a solve tabulate. A
+/// table holds 2^k doubles (8 MiB at 20 items); the cone configurations
+/// build one when loaded, and a welfare estimate builds two per stream
+/// and rebuilds them every simulation (exp/specs.h, exp/solve.h).
+inline constexpr ItemId kMaxTabulatedItems = 20;
+
 /// \brief 2^k utilities under one fixed noise world.
 class UtilityTable {
  public:

@@ -296,7 +296,7 @@ void RrCollection::GenerateUntil(size_t target) {
   // more (a borrowed entry index), count the new cut from the index.
   const size_t indexed = index_->size();
   const size_t index_entries = indexed < size_ ? ExtendIndex() : 0;
-  if (indexed != first) CountDegrees();
+  if (indexed != first) CountDegrees(first);
 
   // One batched add per growth round (not per set or per id) keeps the
   // instrument cost off the sampling hot path.
@@ -457,30 +457,34 @@ size_t RrCollection::ExtendIndex() {
   return run;
 }
 
-void RrCollection::CountDegrees() {
+void RrCollection::CountDegrees(size_t from) {
+  // Deltas wholly below the cut end at or before `below`; the next one,
+  // if any, straddles it and holds the sets [below, size_).
   const std::vector<CoverageIndex::Delta>& deltas = index_->deltas;
-  const uint32_t cut = static_cast<uint32_t>(size_);
-  const size_t n = graph_.num_nodes();
-  uint32_t* degree = degree_.data();
-  pool_->ParallelFor(n, workers_, [&](unsigned, size_t vb, size_t ve) {
-    std::fill(degree + vb, degree + ve, 0u);
-    size_t first = 0;  // the delta's first set id
-    for (const CoverageIndex::Delta& d : deltas) {
-      if (first >= size_) break;
-      const uint32_t* off = d.off.data();
-      if (d.end <= size_) {
+  size_t below = 0;
+  size_t whole = 0;
+  while (whole < deltas.size() && deltas[whole].end <= size_) {
+    below = deltas[whole++].end;
+  }
+  if (from < below) {
+    // The previous cut lies in an earlier delta: recount from the whole
+    // deltas' offsets, then count the straddling part from its start.
+    const size_t n = graph_.num_nodes();
+    uint32_t* degree = degree_.data();
+    pool_->ParallelFor(n, workers_, [&](unsigned, size_t vb, size_t ve) {
+      std::fill(degree + vb, degree + ve, 0u);
+      for (size_t d = 0; d < whole; ++d) {
+        const uint32_t* off = deltas[d].off.data();
         for (size_t v = vb; v < ve; ++v) degree[v] += off[v + 1] - off[v];
-      } else {
-        const uint32_t* ids = d.sets.data();
-        for (size_t v = vb; v < ve; ++v) {
-          const uint32_t* begin = ids + off[v];
-          degree[v] += static_cast<uint32_t>(
-              std::lower_bound(begin, ids + off[v + 1], cut) - begin);
-        }
       }
-      first = d.end;
-    }
-  });
+    });
+    from = below;
+  }
+  // The sets [from, size_) are read from the streams, where they are
+  // contiguous: their ids, not the n nodes, set the cost.
+  for (unsigned s = 0; s < kRrStreams; ++s) {
+    for (NodeId v : StreamSlice(s, from, size_)) ++degree_[v];
+  }
 }
 
 void RrCollection::MergeIndexTail(size_t first) {

@@ -260,11 +260,13 @@ class RrCollection {
   /// set ids written into the delta.
   size_t ExtendIndex();
 
-  /// Set `degree_` to each node's count of set ids below size() in the
-  /// index — the cut of a borrowed index. Deltas wholly below the cut
-  /// count in full; in the one that straddles it, a binary search finds
-  /// the cut in each node's ascending ids.
-  void CountDegrees();
+  /// Set `degree_` to each node's count of sets below size() in the
+  /// index — the cut of a borrowed index — from the previous cut `from`.
+  /// The sets of the delta that straddles the cut are counted forward
+  /// from the streams: from `from` when it lies inside that delta (then
+  /// `degree_` must count the sets [0, from)), else from the delta's
+  /// start after recounting the deltas below it from their offsets.
+  void CountDegrees(size_t from);
 
   /// Merge deltas [first, end) into one, preserving per-node ascending
   /// set-id order. Called with binary-counter tiering (merge while the

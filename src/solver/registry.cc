@@ -91,8 +91,9 @@ constexpr Solver::Traits kPrima{.supports_linear_threshold = true};
 /// The PRIMA family, reading the utilities (bundle-disj).
 constexpr Solver::Traits kPrimaWithParams{.needs_params = true,
                                           .supports_linear_threshold = true};
-/// Reads the utilities and simulates IC forward (mc-greedy, bdhs).
-constexpr Solver::Traits kIcWithParams{.needs_params = true};
+/// Reads the utilities of all 2^k itemsets, under IC only (mc-greedy, bdhs).
+constexpr Solver::Traits kIcWithParams{.needs_params = true,
+                                       .tabulates_utilities = true};
 /// Com-IC: the GAP comes from the utilities; two items, IC only.
 constexpr Solver::Traits kComIc{.needs_params = true, .two_items_only = true};
 

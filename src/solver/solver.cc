@@ -3,6 +3,7 @@
 #include <string>
 
 #include "items/itemset.h"
+#include "items/utility_table.h"
 
 namespace uic {
 
@@ -65,6 +66,12 @@ Status Solver::Validate(const WelfareProblem& problem) const {
       problem.model == DiffusionModel::kLinearThreshold) {
     return Status::InvalidArgument(
         "solver '" + name() + "' does not support the linear-threshold model");
+  }
+  if (t.tabulates_utilities && problem.budgets.size() > kMaxTabulatedItems) {
+    return Status::InvalidArgument(
+        "solver '" + name() + "' evaluates all 2^items itemsets: at most " +
+        Describe(kMaxTabulatedItems) + " items, got " +
+        Describe(problem.budgets.size()));
   }
   return Status::OK();
 }

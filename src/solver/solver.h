@@ -36,6 +36,9 @@ class Solver {
     bool two_items_only = false;
     /// Accepts DiffusionModel::kLinearThreshold.
     bool supports_linear_threshold = false;
+    /// Evaluates utilities over all 2^k itemsets, so rejects more than
+    /// kMaxTabulatedItems items (items/utility_table.h).
+    bool tabulates_utilities = false;
   };
 
   /// One row of the solver table: the registry name, the traits Solve

@@ -112,6 +112,24 @@ expect_exit(er_below_min_nodes 1
 expect_exit(items_above_max 1
   --algorithm bundle-grd --network er --nodes 50 --edges 200
   --config additive --items 40)
+# Item counts whose 2^items tables or items · 3^(items - 1) generation
+# once took the host's memory or seconds: cone configs and anything that
+# evaluates utilities (an estimate, mc-greedy, bdhs) stop at 20 items,
+# levelwise at 16.
+expect_exit(cone_max_items_above_max 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200
+  --config cone-max --items 21 --mc 0)
+expect_exit(levelwise_items_above_max 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200
+  --config levelwise --items 17 --mc 0)
+expect_exit(estimate_items_above_max 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200
+  --config additive --items 21 --mc 10)
+foreach(algorithm mc-greedy bdhs)
+  expect_exit(${algorithm}_items_above_max 1
+    --algorithm ${algorithm} --network er --nodes 50 --edges 200
+    --config additive --items 21 --mc 0)
+endforeach()
 expect_exit(negative_scale 1
   --algorithm bundle-grd --network douban-movie --scale -1)
 # A stand-in scale whose node count is 2^32 - 1 or more (once undefined

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "exp/networks.h"
 #include "exp/specs.h"
 #include "items/gap.h"
+#include "items/utility_table.h"
 #include "items/value_function.h"
 
 namespace uic {
@@ -251,6 +253,24 @@ TEST(Specs, ItemCountMustFitTheItemsetRepresentation) {
   EXPECT_EQ(widest.value().num_items(), kMaxItems);
   spec.config = "no-such-config";
   EXPECT_EQ(BuildConfig(spec).status().code(), Status::Code::kInvalidArgument);
+
+  // Tighter limits where building costs grow with 2^items or 3^items: the
+  // cone configurations tabulate 2^items values, and levelwise generation
+  // costs items · 3^(items − 1).
+  for (const char* config : {"cone-max", "cone-min", "levelwise"}) {
+    spec.config = config;
+    spec.items = std::string(config) == "levelwise" ? kMaxLevelwiseItems + 1
+                                                    : kMaxTabulatedItems + 1;
+    const Result<ItemParams> params = BuildConfig(spec);
+    ASSERT_FALSE(params.ok()) << config;
+    EXPECT_EQ(params.status().code(), Status::Code::kInvalidArgument)
+        << config;
+  }
+  spec.config = "cone-min";
+  spec.items = kMaxTabulatedItems;
+  const Result<ItemParams> cone = BuildConfig(spec);
+  ASSERT_TRUE(cone.ok()) << cone.status().ToString();
+  EXPECT_EQ(cone.value().num_items(), kMaxTabulatedItems);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <queue>
 #include <string>
@@ -113,9 +114,14 @@ void ExpectIndexMatchesReference(const RrCollection& pool) {
 }
 
 // The pre-refactor NodeSelection, kept verbatim as an executable spec:
-// builds its own CSR index, then runs the identical lazy greedy.
+// builds its own CSR index, pushes every candidate onto one heap, then runs
+// the identical lazy greedy. `ids_read`, when given, receives the set ids
+// its re-evaluations and picks read (the uic_rr_select_ids_read_total
+// charge).
 SeedSelection ReferenceNodeSelection(const RrCollection& collection, size_t k,
-                                     const std::vector<NodeId>& excluded) {
+                                     const std::vector<NodeId>& excluded,
+                                     size_t* ids_read = nullptr) {
+  size_t reads = 0;
   const Graph& graph = collection.graph();
   const NodeId n = graph.num_nodes();
   const size_t num_sets = collection.size();
@@ -165,6 +171,7 @@ SeedSelection ReferenceNodeSelection(const RrCollection& collection, size_t k,
       for (size_t idx = node_off[v]; idx < node_off[v + 1]; ++idx) {
         g += covered[node_sets[idx]] == 0;
       }
+      reads += node_off[v + 1] - node_off[v];
       stamp[v] = round;
       if (!heap.empty() && g < heap.top().first) {
         if (g > 0) heap.push({g, v});
@@ -180,6 +187,7 @@ SeedSelection ReferenceNodeSelection(const RrCollection& collection, size_t k,
         ++covered_count;
       }
     }
+    reads += node_off[v + 1] - node_off[v];
     ++round;
     (void)gain;
     result.seeds.push_back(v);
@@ -194,6 +202,7 @@ SeedSelection ReferenceNodeSelection(const RrCollection& collection, size_t k,
                                 static_cast<double>(num_sets));
     }
   }
+  if (ids_read != nullptr) *ids_read = reads;
   return result;
 }
 
@@ -431,15 +440,38 @@ TEST(RrStreamCacheTest, TrimDropsOldestCoinEntriesKeepsPlainOnes) {
   EXPECT_EQ(cache.stats().sampled_sets, sampled + 100);
 }
 
+// `reader`, a warm collection at its latest cut, checked against a cold
+// pool of the same size, seed and options: the same sets, the reference
+// index, and the same selection as both the cold pool and the reference.
+void ExpectBorrowedCutMatchesCold(const RrCollection& reader, uint64_t seed,
+                                  const RrOptions& cold_options) {
+  SCOPED_TRACE("cut at " + std::to_string(reader.size()));
+  RrCollection cold(reader.graph(), seed, 4, cold_options);
+  cold.GenerateUntil(reader.size());
+  EXPECT_EQ(PoolHash(reader), PoolHash(cold));
+  // A wrong cut would send selection past the pool: stop here.
+  ASSERT_NO_FATAL_FAILURE(ExpectIndexMatchesReference(reader));
+  const SeedSelection want = NodeSelection(cold, 20);
+  const SeedSelection got = NodeSelection(reader, 20);
+  EXPECT_EQ(got.seeds, want.seeds);
+  EXPECT_EQ(got.coverage, want.coverage);
+  EXPECT_EQ(got.seeds, ReferenceNodeSelection(reader, 20, {}).seeds);
+}
+
 TEST(RrStreamCacheTest, BorrowedStreamsSurviveGrowthByAnotherCollection) {
   // A warm collection reads its sets out of the cache entry's streams and
   // its index out of the entry's index. A second collection on the same
   // entry grows both far past the first one's size, which reallocates the
   // per-stream arrays and merges the first collection's delta into one
   // delta over [0, 20000); the first collection's later sizes then cut
-  // that merged delta. It must still see exactly the cold pool and index,
-  // also after a third collection merges the entry's index again, so
-  // nothing may keep a raw pointer into a stream or a delta across growth.
+  // that merged delta, each counted forward from the one before. It must
+  // still see exactly the cold pool and index, also after a third
+  // collection merges the entry's index again into one delta over
+  // [0, 45000), so nothing may keep a raw pointer into a stream or a
+  // delta across growth. Then come a cut at that delta's end, a cut past
+  // the entry's index (which extends it by a delta over [45000, 50000)),
+  // and a fresh borrow cut first inside the first delta and then inside
+  // the second, which recounts the first from its offsets.
   Graph g = GoldenGraph();
   for (const bool lt : {false, true}) {
     SCOPED_TRACE(lt ? "lt" : "ic");
@@ -458,20 +490,26 @@ TEST(RrStreamCacheTest, BorrowedStreamsSurviveGrowthByAnotherCollection) {
     for (size_t size : {777ul, 1500ul}) {
       a.GenerateUntil(size);
       EXPECT_EQ(a.IndexDeltaCount(), 1u) << "size " << size;
-      RrCollection cold(g, 77, 4, cold_opt);
-      cold.GenerateUntil(size);
-      const SeedSelection want = NodeSelection(cold, 20);
       for (const size_t other : {0ul, 45000ul}) {
         if (other > 0) {
           RrCollection c(g, 77, 4, warm_opt);
           c.GenerateUntil(other);
         }
-        EXPECT_EQ(PoolHash(a), PoolHash(cold)) << "size " << size;
-        ExpectIndexMatchesReference(a);
-        const SeedSelection got = NodeSelection(a, 20);
-        EXPECT_EQ(got.seeds, want.seeds) << "size " << size;
-        EXPECT_EQ(got.coverage, want.coverage) << "size " << size;
+        ASSERT_NO_FATAL_FAILURE(ExpectBorrowedCutMatchesCold(a, 77, cold_opt));
       }
+    }
+    a.GenerateUntil(45000);
+    EXPECT_EQ(a.IndexDeltaCount(), 1u);
+    ASSERT_NO_FATAL_FAILURE(ExpectBorrowedCutMatchesCold(a, 77, cold_opt));
+    a.GenerateUntil(50000);
+    EXPECT_EQ(a.IndexDeltaCount(), 2u);
+    ASSERT_NO_FATAL_FAILURE(ExpectBorrowedCutMatchesCold(a, 77, cold_opt));
+    RrCollection fresh(g, 77, 4, warm_opt);
+    for (size_t size : {3000ul, 47000ul}) {
+      fresh.GenerateUntil(size);
+      EXPECT_EQ(cache.stats().sampled_sets, 50000u);
+      ASSERT_NO_FATAL_FAILURE(
+          ExpectBorrowedCutMatchesCold(fresh, 77, cold_opt));
     }
   }
 }
@@ -779,20 +817,104 @@ TEST(RrEngineIndex, CountCoveredSetsMatchesScan) {
 
 // --- selection equivalence on arbitrary instances ---------------------
 
+obs::Counter& SelectIdsReadCounter() {
+  UIC_METRIC_COUNTER(ids, "uic_rr_select_ids_read_total",
+                     "Set ids read by NodeSelection's gain re-evaluations "
+                     "and picks.");
+  return ids;
+}
+
+obs::Counter& SelectHeapEntriesCounter() {
+  UIC_METRIC_COUNTER(entries, "uic_rr_select_heap_entries_total",
+                     "Entries pushed onto NodeSelection's lazy-greedy heap.");
+  return entries;
+}
+
+// The `count` nodes of highest index degree in `pool`.
+std::vector<NodeId> TopHubs(const RrCollection& pool, size_t count) {
+  std::vector<NodeId> nodes(pool.graph().num_nodes());
+  for (NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
+  std::partial_sort(nodes.begin(), nodes.begin() + count, nodes.end(),
+                    [&](NodeId a, NodeId b) {
+                      return pool.IndexDegree(a) > pool.IndexDegree(b);
+                    });
+  nodes.resize(count);
+  return nodes;
+}
+
 TEST(RrEngineSelection, MatchesReferenceImplementation) {
+  // NodeSelection admits candidates to its heap band by band (by the bit
+  // width of their degree); the reference pushes them all up front. The
+  // two must pop alike: same seeds, same coverage, and the same set ids
+  // read. The inputs are ER pools; a weighted-cascade PA pool whose
+  // degrees span many bit widths, with and without its top hubs
+  // excluded; a pool too small to fill k (the padding path); a coin
+  // pool; and an LT pool. Each runs at 1 and 4 workers.
+  Graph pa = GeneratePreferentialAttachment(20000, 5, /*undirected=*/false, 17);
+  pa.ApplyWeightedCascade();
+  std::vector<Graph> er;
   for (uint64_t graph_seed : {101ull, 202ull, 303ull}) {
-    Graph g = GenerateErdosRenyi(120, 700, graph_seed);
-    g.ApplyWeightedCascade();
-    RrCollection pool(g, graph_seed ^ 0xabcd, 4);
-    pool.GenerateUntil(400);
-    pool.GenerateUntil(1300);
-    for (const std::vector<NodeId>& excluded :
-         {std::vector<NodeId>{}, std::vector<NodeId>{0, 5, 7}}) {
-      const SeedSelection got = NodeSelection(pool, 30, excluded);
-      const SeedSelection want =
-          ReferenceNodeSelection(pool, 30, excluded);
-      EXPECT_EQ(got.seeds, want.seeds) << "graph_seed=" << graph_seed;
-      EXPECT_EQ(got.coverage, want.coverage) << "graph_seed=" << graph_seed;
+    er.push_back(GenerateErdosRenyi(120, 700, graph_seed));
+    er.back().ApplyWeightedCascade();
+  }
+  const std::vector<float> coins(er[0].num_nodes(), 0.6f);
+  struct Case {
+    std::string name;
+    const Graph* graph;
+    uint64_t seed;
+    std::vector<size_t> growth;
+    size_t k;
+    bool linear_threshold = false;
+    bool coins = false;
+    size_t hubs_excluded = 0;  // top-degree nodes added to `excluded`
+  };
+  std::vector<Case> cases;
+  for (size_t i = 0; i < er.size(); ++i) {
+    cases.push_back({"er" + std::to_string(i), &er[i], 0xabcdu + i,
+                     {400, 1300}, 30});
+  }
+  cases.push_back({"pa", &pa, 5, {1500, 6000}, 60});
+  cases.push_back({"pa-hubs", &pa, 5, {6000}, 60, false, false, 12});
+  cases.push_back({"padding", &er[0], 9, {4}, 30});
+  cases.push_back({"coins", &er[0], 3, {300, 800}, 30, false, true});
+  cases.push_back({"lt", &pa, 8, {2000, 5000}, 40, true});
+  for (const Case& c : cases) {
+    for (const unsigned workers : {1u, 4u}) {
+      SCOPED_TRACE(c.name + " workers " + std::to_string(workers));
+      RrOptions opt;
+      opt.linear_threshold = c.linear_threshold;
+      if (c.coins) opt.node_pass_prob = &coins;
+      RrCollection pool(*c.graph, c.seed, workers, opt);
+      for (size_t size : c.growth) pool.GenerateUntil(size);
+      std::vector<std::vector<NodeId>> exclusions = {{}, {0, 5, 7}};
+      if (c.hubs_excluded > 0) exclusions = {TopHubs(pool, c.hubs_excluded)};
+      for (const std::vector<NodeId>& excluded : exclusions) {
+        const uint64_t ids_before = SelectIdsReadCounter().Value();
+        const uint64_t pushes_before = SelectHeapEntriesCounter().Value();
+        const SeedSelection got = NodeSelection(pool, c.k, excluded);
+        const uint64_t pushes = SelectHeapEntriesCounter().Value() -
+                                pushes_before;
+        size_t want_ids = 0;
+        const SeedSelection want =
+            ReferenceNodeSelection(pool, c.k, excluded, &want_ids);
+        EXPECT_EQ(got.seeds, want.seeds) << excluded.size() << " excluded";
+        EXPECT_EQ(got.coverage, want.coverage);
+        EXPECT_EQ(SelectIdsReadCounter().Value() - ids_before, want_ids);
+        EXPECT_EQ(got.seeds.size(), c.k);
+        if (c.name == "pa") {
+          // Degrees span many bands, and most candidates never surface.
+          const std::vector<NodeId> hub = TopHubs(pool, 1);
+          EXPECT_GE(std::bit_width(pool.IndexDegree(hub[0])), 9);
+          size_t candidates = 0;
+          for (NodeId v = 0; v < pa.num_nodes(); ++v) {
+            candidates += pool.IndexDegree(v) > 0;
+          }
+          EXPECT_LT(pushes * 4, candidates) << pushes << " pushes";
+        }
+        if (c.name == "padding") {
+          EXPECT_EQ(got.coverage.back(), 1.0);  // gains ran out before k
+        }
+      }
     }
   }
 }

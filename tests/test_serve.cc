@@ -799,9 +799,16 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
   // 32-bit CSR offsets). The fifth once fell back to scale 0.3 silently.
   // The next four once read a wrongly typed string field as absent: they
   // solved bundle-grd, solved under IC, ran the generator and unloaded
-  // "g". The last converted a 4e16 node count to 32 bits, which is
-  // undefined behaviour. Now each gets its reply and the daemon keeps
-  // serving.
+  // "g". The next converted a 4e16 node count to 32 bits, which is
+  // undefined behaviour. The last five could take the host's memory or a
+  // slot for seconds: cone-max tabulates 2^items values when loaded,
+  // levelwise generation costs items · 3^(items − 1), and an estimate,
+  // mc-greedy and bdhs evaluate all 2^items itemsets (21 additive items
+  // load, but nothing may tabulate them). Now each gets its reply and the
+  // daemon keeps serving.
+  std::string ones21 = "[1";
+  for (int i = 1; i < 21; ++i) ones21 += ",1";
+  ones21 += "]";
   struct Case {
     std::string request;
     const char* want;
@@ -847,6 +854,21 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
        "\"code\":\"bad_request\""},
       {"{\"id\":51,\"verb\":\"load_graph\",\"name\":\"gt\","
        "\"network\":\"twitter\",\"scale\":1e12}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":52,\"verb\":\"load_params\",\"name\":\"pc\","
+       "\"config\":\"cone-max\",\"items\":21}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":53,\"verb\":\"load_params\",\"name\":\"pl\","
+       "\"config\":\"levelwise\",\"items\":17}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":54,\"verb\":\"load_params\",\"name\":\"p21\","
+       "\"config\":\"additive\",\"items\":21}",
+       "\"ok\":true"},
+      {"{\"id\":55,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p21\","
+       "\"budgets\":" + ones21 + ",\"eval_sims\":10}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":56,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p21\","
+       "\"budgets\":" + ones21 + ",\"algorithm\":\"mc-greedy\"}",
        "\"code\":\"bad_request\""},
   };
   Server server(GoldenOptions());

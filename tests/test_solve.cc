@@ -15,6 +15,7 @@
 #include "exp/specs.h"
 #include "exp/sweep.h"
 #include "items/itemset.h"
+#include "items/utility_table.h"
 #include "serve/json.h"
 #include "serve/server.h"
 
@@ -196,6 +197,32 @@ TEST(SolvePath, EvalSimsOutsideTheLimitAreRejectedBeforeSolving) {
     RrStreamCache cache;
     EXPECT_FALSE(RunSolve(problem, spec, &cache).ok()) << sims;
     EXPECT_EQ(cache.stats().sampled_sets, 0u) << sims;
+  }
+}
+
+TEST(SolvePath, SolvesThatTabulateUtilitiesAreLimitedTo20Items) {
+  // A welfare estimate, mc-greedy and bdhs evaluate all 2^items itemsets;
+  // past kMaxTabulatedItems items they are rejected before solving. A solve
+  // that only selects seeds may use up to kMaxItems.
+  const Graph graph = GoldenGraph();
+  for (const ItemId items : {kMaxTabulatedItems, kMaxTabulatedItems + 1}) {
+    WelfareProblem problem;
+    problem.graph = &graph;
+    problem.params = MakeAdditiveConfig5(items);
+    problem.budgets.assign(items, 1);
+    const bool over = items > kMaxTabulatedItems;
+    for (const char* algorithm : {"bundle-grd", "mc-greedy", "bdhs"}) {
+      SolveSpec spec = GoldenRequest(1);
+      spec.algorithm = algorithm;
+      spec.eval_sims = 0;
+      const bool selects_only = std::string(algorithm) == "bundle-grd";
+      EXPECT_EQ(CheckSolve(problem, spec).ok(), selects_only || !over)
+          << algorithm << " at " << items << " items";
+      spec.eval_sims = 10;
+      EXPECT_EQ(CheckSolve(problem, spec).code(),
+                over ? Status::Code::kInvalidArgument : Status::Code::kOk)
+          << algorithm << " at " << items << " items, estimated";
+    }
   }
 }
 
