@@ -86,15 +86,18 @@ constexpr const char* kUsage =
     "  --seed S           solver RNG seed           (default 1)\n"
     "  --workers N        threads, 0 = hardware, at most 1024 (default 0)\n"
     "  --model M          ic | lt                   (default ic)\n"
-    "  --sampling-kernel K  auto | scan | skip RR sampling kernel\n"
-    "                     (default auto = geometric skip-sampling;\n"
+    "  --sampling-kernel K  skip | scan RR sampling kernel\n"
+    "                     (default skip = geometric skip-sampling;\n"
     "                      kernels are statistically equivalent but draw\n"
     "                      different RNG sequences)\n"
     "  --greedy-sims N    mc-greedy simulations/evaluation (default 200)\n"
     "  --cim-sims N       rr-cim forward simulations       (default 200)\n"
+    "                     (each in [1, 1e6])\n"
     "  --bdhs-variant V   step | concave            (default step)\n"
     "  --kappa X          bdhs step isolation discount     (default 0)\n"
+    "                     in [0, 1]\n"
     "  --uniform-p X      bdhs concave edge probability    (default 0.01)\n"
+    "                     in (0, 1]\n"
     "\n"
     "report:\n"
     "  --mc N             welfare simulations under --model (default 400)\n"
@@ -389,7 +392,7 @@ int Run(int argc, char** argv) {
   }
   options.bdhs.kappa = flags.GetDouble("kappa", 0.0);
   options.bdhs.uniform_p = flags.GetDouble("uniform-p", 0.01);
-  const std::string kernel = flags.GetString("sampling-kernel", "auto");
+  const std::string kernel = flags.GetString("sampling-kernel", "skip");
   if (!ParseSamplingKernel(kernel, &options.rr_options.kernel)) {
     std::fprintf(stderr, "uic_run: unknown --sampling-kernel '%s'\n",
                  kernel.c_str());

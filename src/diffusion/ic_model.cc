@@ -1,7 +1,6 @@
 #include "diffusion/ic_model.h"
 
 #include <atomic>
-#include <memory>
 
 #include "common/check.h"
 #include "common/parallel.h"
@@ -76,16 +75,16 @@ double EstimateSpread(const Graph& graph, const std::vector<NodeId>& seeds,
                       size_t num_simulations, uint64_t seed, unsigned workers,
                       SamplingKernel kernel) {
   if (num_simulations == 0) return 0.0;
-  std::shared_ptr<const SamplingPlan> plan;
-  if (ResolveSamplingKernel(kernel) == SamplingKernel::kSkip) {
-    // One forward plan shared (read-only) by every stream's simulator.
-    plan = SamplingPlan::Build(graph, SamplingPlan::Direction::kForward,
-                               SamplingPlan::kIcBuckets);
+  // The graph's forward plan, looked up once and shared (read-only) by
+  // every stream's simulator.
+  const SamplingPlan* plan = nullptr;
+  if (kernel == SamplingKernel::kSkip) {
+    plan = &graph.Plan(Graph::PlanKind::kForwardIc);
   }
   std::atomic<uint64_t> total{0};
   ParallelForStreams(num_simulations, workers,
                      [&](unsigned s, size_t begin, size_t end) {
-                       IcSimulator sim(graph, plan.get());
+                       IcSimulator sim(graph, plan);
                        Rng rng = Rng::Split(seed, s);
                        uint64_t local = 0;
                        for (size_t i = begin; i < end; ++i) {

@@ -16,7 +16,8 @@ namespace uic {
 /// tests out-edges by geometric skip-sampling instead of per-edge trials
 /// — same cascade distribution, different RNG draw sequence (see
 /// graph/sampling_plan.h). With `plan == nullptr` it runs the legacy
-/// per-edge scan. The plan must be built for this graph and outlive the
+/// per-edge scan. The plan must be this graph's (`graph.Plan(
+/// Graph::PlanKind::kForwardIc)`, or one built for it) and outlive the
 /// simulator.
 class IcSimulator {
  public:
@@ -42,15 +43,19 @@ class IcSimulator {
 
 /// \brief Monte-Carlo estimate of the influence spread σ(S).
 ///
+/// The forward-spread oracle for tests and benches: neither `uic_run` nor
+/// `uic_served` calls it (the solvers score allocations with the welfare
+/// estimators of diffusion/uic_model.h).
+///
 /// Runs `num_simulations` cascades on the fixed stream grid (independent
 /// deterministic RNG streams derived from `seed`); the result depends on
 /// (`seed`, `kernel`) alone, `workers` only bounds concurrency. The
-/// default kernel resolves to skip-sampling (one shared forward plan
-/// across all streams); pass SamplingKernel::kScan for the legacy
-/// per-edge draw sequence.
+/// default kernel is skip-sampling on the graph's forward plan
+/// (`Graph::Plan`), shared by all streams; pass SamplingKernel::kScan for
+/// the legacy per-edge draw sequence.
 double EstimateSpread(const Graph& graph, const std::vector<NodeId>& seeds,
                       size_t num_simulations, uint64_t seed,
                       unsigned workers = 0,
-                      SamplingKernel kernel = SamplingKernel::kAuto);
+                      SamplingKernel kernel = SamplingKernel::kSkip);
 
 }  // namespace uic

@@ -17,9 +17,6 @@
 
 namespace uic {
 
-/// Most Monte-Carlo simulations one welfare estimate may run.
-inline constexpr long long kMaxEvalSims = 1000000;
-
 struct SolveSpec {
   std::string algorithm;  ///< solver-table name, case-insensitive
   /// `rr_options.stream_cache` is ignored: RunSolve picks the cache.

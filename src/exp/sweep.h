@@ -58,7 +58,7 @@ struct SweepSpec {
   SolverOptions options;
 
   /// Welfare simulations per cell under `model`, at most kMaxEvalSims
-  /// (exp/solve.h); 0, or an unset `params`, skips the estimate.
+  /// (solver/problem.h); 0, or an unset `params`, skips the estimate.
   size_t eval_simulations = 400;
   uint64_t eval_seed = 999;
 

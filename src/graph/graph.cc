@@ -1,14 +1,64 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/mutex.h"
 #include "common/random.h"
+#include "graph/sampling_plan.h"
 
 namespace uic {
 
+/// One lazily built plan per PlanKind, each behind its own lock so a
+/// build of one kind never waits on another.
+struct Graph::PlanSlots {
+  struct Slot {
+    Mutex mu;
+    std::unique_ptr<const SamplingPlan> plan UIC_GUARDED_BY(mu);
+  };
+  std::array<Slot, 3> slots;
+};
+
+Graph::Graph() : plans_(std::make_unique<PlanSlots>()) {}
+Graph::~Graph() = default;
+Graph::Graph(Graph&& other) noexcept = default;
+Graph& Graph::operator=(Graph&& other) noexcept = default;
+
+Graph::Graph(const Graph& other)
+    : num_nodes_(other.num_nodes_),
+      out_offsets_(other.out_offsets_),
+      out_targets_(other.out_targets_),
+      out_probs_(other.out_probs_),
+      in_offsets_(other.in_offsets_),
+      in_sources_(other.in_sources_),
+      in_probs_(other.in_probs_),
+      plans_(std::make_unique<PlanSlots>()) {}
+
+Graph& Graph::operator=(const Graph& other) {
+  return *this = Graph(other);
+}
+
+const SamplingPlan& Graph::Plan(PlanKind kind) const {
+  UIC_CHECK_MSG(plans_ != nullptr, "a moved-from graph has no plans");
+  PlanSlots::Slot& slot = plans_->slots[static_cast<size_t>(kind)];
+  MutexLock lock(slot.mu);
+  if (slot.plan == nullptr) {
+    slot.plan = SamplingPlan::Build(
+        *this,
+        kind == PlanKind::kForwardIc ? SamplingPlan::Direction::kForward
+                                     : SamplingPlan::Direction::kReverse,
+        kind == PlanKind::kReverseLt ? SamplingPlan::kLtAlias
+                                     : SamplingPlan::kIcBuckets);
+  }
+  return *slot.plan;
+}
+
 void Graph::ApplyWeightedCascade() {
+  // Every mutator drops the plans: they are a function of the
+  // probabilities.
+  plans_ = std::make_unique<PlanSlots>();
   // p(u,v) = 1 / din(v): write via the reverse adjacency (contiguous per
   // target), then mirror into the forward arrays.
   for (NodeId v = 0; v < num_nodes_; ++v) {
@@ -31,12 +81,14 @@ void Graph::ApplyWeightedCascade() {
 }
 
 void Graph::ApplyConstantProbability(double p) {
+  plans_ = std::make_unique<PlanSlots>();
   std::fill(out_probs_.begin(), out_probs_.end(), static_cast<float>(p));
   std::fill(in_probs_.begin(), in_probs_.end(), static_cast<float>(p));
 }
 
 void Graph::ApplyTrivalency(const std::vector<double>& choices, uint64_t seed) {
   UIC_CHECK(!choices.empty());
+  plans_ = std::make_unique<PlanSlots>();
   // Assign per-(u,v) deterministically from a hash of the edge so that the
   // forward and reverse arrays agree.
   auto edge_prob = [&](NodeId u, NodeId v) {

@@ -5,9 +5,14 @@
 // forward Monte-Carlo diffusion walks out-edges, while reverse-reachable
 // (RR) set sampling walks in-edges. Edge influence probabilities are kept
 // alongside the adjacency in edge-parallel arrays.
+//
+// The graph is also the one owner of the sampling plans derived from its
+// adjacency (graph/sampling_plan.h): each kind is built on first request
+// and every consumer borrows it for the graph's lifetime.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +22,8 @@
 namespace uic {
 
 using NodeId = uint32_t;
+
+class SamplingPlan;
 
 /// \brief A weighted directed edge used during graph construction.
 struct Edge {
@@ -30,9 +37,30 @@ struct Edge {
 /// Nodes are dense ids `[0, num_nodes)`. Use `GraphBuilder` (or the loaders
 /// and generators) to construct one. Copying is allowed but the intended
 /// usage is to build once and share by const reference.
+///
+/// A plan points into the CSR arrays of the graph that built it, so:
+///   * a copy starts with no plans (it builds its own on request);
+///   * a move carries the plans along with the arrays they point into; the
+///     moved-from graph may only be assigned to or destroyed;
+///   * the Apply* re-weighting mutators drop the plans, which are a
+///     function of the probabilities. Like any mutation they must not
+///     run while another thread reads the graph or holds one of its
+///     plans.
 class Graph {
  public:
-  Graph() = default;
+  /// The sampling plans a graph derives, one of each kind at most.
+  enum class PlanKind : uint8_t {
+    kReverseIc,  ///< in-edge probability buckets: IC RR sampling
+    kReverseLt,  ///< in-edge alias tables: LT RR sampling
+    kForwardIc,  ///< out-edge probability buckets: forward IC simulation
+  };
+
+  Graph();
+  ~Graph();
+  Graph(const Graph& other);
+  Graph& operator=(const Graph& other);
+  Graph(Graph&& other) noexcept;
+  Graph& operator=(Graph&& other) noexcept;
 
   NodeId num_nodes() const { return num_nodes_; }
   size_t num_edges() const { return out_targets_.size(); }
@@ -89,8 +117,17 @@ class Graph {
   /// Human-readable one-line summary (n, m, avg degree).
   std::string Summary() const;
 
+  /// The graph's plan of `kind`, built by the first request (serially,
+  /// under a lock that only the plan's own kind shares) and then returned
+  /// to every caller. Safe to call concurrently. The plan lives until the
+  /// graph is destroyed or re-weighted; callers look it up once per pool,
+  /// collection or estimate, not per sample.
+  const SamplingPlan& Plan(PlanKind kind) const;
+
  private:
   friend class GraphBuilder;
+
+  struct PlanSlots;  // defined in graph.cc
 
   NodeId num_nodes_ = 0;
   // CSR forward adjacency.
@@ -101,6 +138,8 @@ class Graph {
   std::vector<uint32_t> in_offsets_;  // size num_nodes_+1
   std::vector<NodeId> in_sources_;
   std::vector<float> in_probs_;
+  // Lazily built plans; null only in a moved-from graph.
+  std::unique_ptr<PlanSlots> plans_;
 };
 
 /// \brief Accumulates edges and assembles an immutable `Graph`.

@@ -4,22 +4,16 @@
 #include <cmath>
 
 #include "common/check.h"
+#include "obs/metrics.h"
 
 namespace uic {
 
 const char* SamplingKernelName(SamplingKernel k) {
-  switch (k) {
-    case SamplingKernel::kAuto: return "auto";
-    case SamplingKernel::kScan: return "scan";
-    case SamplingKernel::kSkip: return "skip";
-  }
-  return "auto";
+  return k == SamplingKernel::kScan ? "scan" : "skip";
 }
 
 bool ParseSamplingKernel(const std::string& name, SamplingKernel* out) {
-  if (name == "auto") {
-    *out = SamplingKernel::kAuto;
-  } else if (name == "scan") {
+  if (name == "scan") {
     *out = SamplingKernel::kScan;
   } else if (name == "skip") {
     *out = SamplingKernel::kSkip;
@@ -29,11 +23,14 @@ bool ParseSamplingKernel(const std::string& name, SamplingKernel* out) {
   return true;
 }
 
-std::shared_ptr<const SamplingPlan> SamplingPlan::Build(const Graph& graph,
+std::unique_ptr<const SamplingPlan> SamplingPlan::Build(const Graph& graph,
                                                         Direction direction,
                                                         uint32_t features) {
   UIC_CHECK(features != 0);
-  std::shared_ptr<SamplingPlan> plan(new SamplingPlan());
+  UIC_METRIC_COUNTER(builds, "uic_sampling_plan_builds_total",
+                     "Sampling plans built (SamplingPlan::Build calls).");
+  builds.Add();
+  std::unique_ptr<SamplingPlan> plan(new SamplingPlan());
   plan->direction_ = direction;
   plan->features_ = features;
   plan->general_.assign(graph.num_nodes(), 0);

@@ -29,9 +29,11 @@
 // A plan is immutable after Build, borrows the graph's CSR arrays (it
 // must not outlive the graph, nor survive Apply* reweighting — it is a
 // function of the probabilities), and is shared freely across threads.
-// Consumers cache plans where the graph lives: `RrCollection` builds one
-// lazily for cold generation, `RrStreamCache` builds one per bound graph
-// so sweeps and the serve daemon's warm pools pay the build once.
+// The graph owns its plans (`Graph::Plan`): it builds each kind once, on
+// the first request, and every consumer — cold collections, stream-cache
+// entries, standalone samplers, `EstimateSpread` — borrows that one copy
+// for the graph's lifetime. `Build` stays public for benches and tests
+// that time or inspect a plan of their own.
 #pragma once
 
 #include <cstdint>
@@ -52,20 +54,11 @@ namespace uic {
 /// per kernel (pure function of graph, options incl. kernel, seed) but only
 /// statistically equivalent across kernels.
 enum class SamplingKernel : uint8_t {
-  kAuto = 0,  ///< resolves to kSkip; reserved for future heuristics
+  kSkip = 0,  ///< geometric skip over the plan (per-node scan fallback)
   kScan = 1,  ///< per-edge Bernoulli trials (the legacy kernel)
-  kSkip = 2,  ///< geometric skip over the plan (per-node scan fallback)
 };
 
-/// kAuto resolves to kSkip: the auto logic lives in the plan itself, which
-/// classifies per node and keeps the per-edge scan as the kGeneral
-/// fallback, so there is no whole-graph decision left to make.
-inline SamplingKernel ResolveSamplingKernel(SamplingKernel k) {
-  return k == SamplingKernel::kScan ? SamplingKernel::kScan
-                                    : SamplingKernel::kSkip;
-}
-
-/// Flag-value spelling ("auto"/"scan"/"skip").
+/// Flag-value spelling ("scan"/"skip").
 const char* SamplingKernelName(SamplingKernel k);
 
 /// Parse a flag value; returns false on an unknown spelling.
@@ -102,7 +95,8 @@ class SamplingPlan {
   static constexpr NodeId kNoSource = ~NodeId{0};
 
   /// Build a plan for `graph`. The plan borrows the graph's CSR arrays.
-  static std::shared_ptr<const SamplingPlan> Build(const Graph& graph,
+  /// Consumers borrow `graph.Plan(kind)` instead, which calls this once.
+  static std::unique_ptr<const SamplingPlan> Build(const Graph& graph,
                                                    Direction direction,
                                                    uint32_t features);
 

@@ -20,20 +20,19 @@ inline size_t QuotBegin(size_t g0, unsigned s) {
 
 }  // namespace
 
+const SamplingPlan* SamplerPlan(const Graph& graph, const RrOptions& options) {
+  if (options.kernel != SamplingKernel::kSkip) return nullptr;
+  if (options.sampling_plan != nullptr) return options.sampling_plan;
+  return &graph.Plan(options.linear_threshold ? Graph::PlanKind::kReverseLt
+                                              : Graph::PlanKind::kReverseIc);
+}
+
 RrSampler::RrSampler(const Graph& graph, RrOptions options)
     : graph_(graph),
       options_(options),
+      plan_(SamplerPlan(graph, options)),
       visited_epoch_(graph.num_nodes(), 0) {
-  if (ResolveSamplingKernel(options_.kernel) == SamplingKernel::kSkip) {
-    const uint32_t features = options_.linear_threshold
-                                  ? SamplingPlan::kLtAlias
-                                  : SamplingPlan::kIcBuckets;
-    if (options_.sampling_plan == nullptr) {
-      owned_plan_ = SamplingPlan::Build(
-          graph, SamplingPlan::Direction::kReverse, features);
-      options_.sampling_plan = owned_plan_.get();
-    }
-    plan_ = options_.sampling_plan;
+  if (plan_ != nullptr) {
     UIC_CHECK(plan_->direction() == SamplingPlan::Direction::kReverse);
     UIC_CHECK(options_.linear_threshold ? plan_->has_lt_alias()
                                         : plan_->has_ic_buckets());
@@ -225,17 +224,9 @@ void RrCollection::BindStreams() {
     if (entry->sampling.node_pass_prob == nullptr) index_ = &entry->index;
     return;
   }
-  // The per-stream samplers share one plan — the caller's, or one built
-  // here once and kept for the collection's lifetime — before generation
-  // fans out, instead of each building their own.
-  if (ResolveSamplingKernel(options_.kernel) == SamplingKernel::kSkip &&
-      options_.sampling_plan == nullptr) {
-    plan_ = SamplingPlan::Build(graph_, SamplingPlan::Direction::kReverse,
-                                options_.linear_threshold
-                                    ? SamplingPlan::kLtAlias
-                                    : SamplingPlan::kIcBuckets);
-    options_.sampling_plan = plan_.get();
-  }
+  // The per-stream samplers share one plan — the caller's, or the
+  // graph's, looked up here once before generation fans out.
+  options_.sampling_plan = SamplerPlan(graph_, options_);
   streams_ = own_.data();
   sampling_ = &options_;
 }

@@ -130,25 +130,32 @@ struct RrOptions {
   /// own entry keying. The cache must outlive the collection.
   RrStreamCache* stream_cache = nullptr;
 
-  /// Sampling kernel (graph/sampling_plan.h). kScan is the legacy
-  /// per-edge-trial kernel; kSkip draws geometric gaps over the graph's
-  /// probability-stratified plan (falling back to per-edge scanning for
-  /// nodes the plan classifies kGeneral); kAuto — the default — resolves
-  /// to kSkip. The kernels draw DIFFERENT RNG sequences, so the kernel is
-  /// part of the pool's identity: every determinism guarantee (pure
-  /// function of (graph, options, seed), worker/schedule invariance,
-  /// warm==cold) holds per kernel, and the resolved kernel joins the
-  /// stream cache's entry key.
-  SamplingKernel kernel = SamplingKernel::kAuto;
+  /// Sampling kernel (graph/sampling_plan.h). kSkip, the default, draws
+  /// geometric gaps over the graph's probability-stratified plan (falling
+  /// back to per-edge scanning for nodes the plan classifies kGeneral);
+  /// kScan is the legacy per-edge-trial kernel. The kernels draw DIFFERENT
+  /// RNG sequences, so the kernel is part of the pool's identity: every
+  /// determinism guarantee (pure function of (graph, options, seed),
+  /// worker/schedule invariance, warm==cold) holds per kernel, and the
+  /// kernel joins the stream cache's entry key.
+  SamplingKernel kernel = SamplingKernel::kSkip;
 
-  /// Optional pre-built reverse-direction sampling plan for the graph.
-  /// Borrowed, not owned, and non-semantic like `stream_cache`: a plan is
-  /// a pure function of the graph, so sharing one only moves the one-time
-  /// build cost — never the sampled pool. nullptr = consumers build and
-  /// cache their own when the resolved kernel needs one (RrCollection per
-  /// cold collection, RrStreamCache per bound graph).
+  /// Optional reverse-direction sampling plan for the graph, borrowed and
+  /// non-semantic like `stream_cache`: a plan is a pure function of the
+  /// graph, so it never changes the sampled pool. nullptr = the graph's
+  /// own plan (`Graph::Plan`), which is what every production path uses;
+  /// benches set one they built to time sampling apart from the build.
+  /// A cold collection and a standalone RrSampler use a plan set here;
+  /// cache entries ignore it and borrow the graph's, because an entry
+  /// outlives the caller's options. Generation also passes the plan to its
+  /// per-stream samplers through this field, so they never look it up.
   const SamplingPlan* sampling_plan = nullptr;
 };
+
+/// The plan RR samplers run on under `options`: none under kScan, else
+/// `options.sampling_plan`, or the graph's reverse plan for the options'
+/// model when that is null (`Graph::Plan`, which takes the plan's lock).
+const SamplingPlan* SamplerPlan(const Graph& graph, const RrOptions& options);
 
 /// \brief A pool of RR sets with deterministic parallel growth and an
 /// incrementally maintained node→RR-set coverage index.
@@ -283,10 +290,6 @@ class RrCollection {
   uint64_t seed_;
   RrStreamCache* cache_;  ///< nullptr = cold
 
-  /// Built by a cold collection's first BindStreams when the kernel needs
-  /// a plan and the caller did not supply `options_.sampling_plan`.
-  std::shared_ptr<const SamplingPlan> plan_;
-
   std::array<RrStream, kRrStreams> own_;  ///< a cold collection's streams
   RrStream* streams_ = nullptr;           ///< own_ or a cache entry's
   const RrOptions* sampling_ = nullptr;   ///< sampler options for streams_
@@ -302,10 +305,10 @@ class RrCollection {
 
 /// \brief Single-threaded RR sampler (exposed for tests and custom loops).
 ///
-/// If the resolved kernel is kSkip and no plan was supplied in the
-/// options, the sampler builds its own (with exactly the features the
-/// options need) — convenient standalone, but per-stream loops should
-/// share one plan via `RrOptions::sampling_plan`.
+/// Under kSkip the sampler runs on `RrOptions::sampling_plan`, or on the
+/// graph's own plan for the options' model when that is null (one lookup
+/// per sampler, under the graph's plan lock). Per-stream loops pass the
+/// plan in the options so that no sampler takes the lock.
 class RrSampler {
  public:
   explicit RrSampler(const Graph& graph, RrOptions options = {});
@@ -342,8 +345,7 @@ class RrSampler {
 
   const Graph& graph_;
   RrOptions options_;
-  const SamplingPlan* plan_ = nullptr;  ///< set iff resolved kernel is kSkip
-  std::shared_ptr<const SamplingPlan> owned_plan_;
+  const SamplingPlan* plan_ = nullptr;  ///< set iff the kernel is kSkip
   std::vector<uint32_t> visited_epoch_;
   uint32_t epoch_ = 0;
   std::vector<NodeId> queue_;

@@ -14,8 +14,6 @@ RrStreamCache::Stats RrStreamCache::stats() const {
 
 void RrStreamCache::Clear() {
   entries_.clear();
-  ic_plan_.reset();
-  lt_plan_.reset();
   graph_ = nullptr;
   // The sampled/served counters deliberately persist: they are monotone
   // over the cache's lifetime, so per-point deltas stay meaningful across
@@ -55,11 +53,11 @@ void RrStreamCache::BindGraph(const Graph& graph) {
 RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
                                               const RrOptions& options) {
   const bool has_pp = options.node_pass_prob != nullptr;
-  const SamplingKernel kernel = ResolveSamplingKernel(options.kernel);
   for (const auto& e : entries_) {
     const RrOptions& key = e->sampling;
     if (e->seed != seed || key.linear_threshold != options.linear_threshold ||
-        (key.node_pass_prob != nullptr) != has_pp || key.kernel != kernel) {
+        (key.node_pass_prob != nullptr) != has_pp ||
+        key.kernel != options.kernel) {
       continue;
     }
     // Pass probabilities are keyed by *contents* (callers typically rebuild
@@ -71,25 +69,13 @@ RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
   auto e = std::make_unique<Entry>();
   e->seed = seed;
   e->sampling.linear_threshold = options.linear_threshold;
-  e->sampling.kernel = kernel;
+  e->sampling.kernel = options.kernel;
   if (has_pp) {
     e->pass_prob = *options.node_pass_prob;
     e->sampling.node_pass_prob = &e->pass_prob;
   }
-  if (kernel == SamplingKernel::kSkip) {
-    // One plan per bound graph and feature, shared across entries; built
-    // here (serially) so concurrent stream extensions only read it.
-    std::shared_ptr<const SamplingPlan>& plan =
-        options.linear_threshold ? lt_plan_ : ic_plan_;
-    if (plan == nullptr) {
-      plan = SamplingPlan::Build(*graph_, SamplingPlan::Direction::kReverse,
-                                 options.linear_threshold
-                                     ? SamplingPlan::kLtAlias
-                                     : SamplingPlan::kIcBuckets);
-    }
-    e->plan = plan;
-    e->sampling.sampling_plan = plan.get();
-  }
+  // The graph's plan, not the caller's: the entry outlives the options.
+  e->sampling.sampling_plan = SamplerPlan(*graph_, e->sampling);
   for (unsigned s = 0; s < kRrStreams; ++s) {
     // Must match RrCollection's own seeding so cached draws replay exactly
     // the cold RNG sequences.

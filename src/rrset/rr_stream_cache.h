@@ -93,21 +93,17 @@ class RrStreamCache {
  private:
   friend class RrCollection;
 
-  /// Streams for one (seed, sampling semantics) group. The RESOLVED
-  /// kernel is part of the key: the kernels draw different RNG sequences,
-  /// so kScan and kSkip streams for the same seed are distinct sample
-  /// sequences (kAuto and kSkip resolve identically and share an entry).
+  /// Streams for one (seed, sampling semantics) group. The kernel is part
+  /// of the key: the kernels draw different RNG sequences, so kScan and
+  /// kSkip streams for the same seed are distinct sample sequences.
   struct Entry {
     uint64_t seed = 0;
     std::vector<float> pass_prob;  ///< copied contents, exact-match keyed
-    /// Cache-owned plan the entry's samplers run on (null for kScan);
-    /// shared across entries and built once per bound graph. Building it
-    /// in GetEntry — serially, before growth fans out — is what keeps the
-    /// concurrent stream extensions free of shared mutation.
-    std::shared_ptr<const SamplingPlan> plan;
     /// What the entry's samplers run with: the linear-threshold flag, the
-    /// resolved kernel (never kAuto), and `pass_prob`/`plan` (borrowed
-    /// from this entry). Also the entry's key, with `seed`.
+    /// kernel, `pass_prob` (borrowed from this entry) and, under kSkip,
+    /// the bound graph's own plan (`Graph::Plan`), looked up once in
+    /// GetEntry — serially, before growth fans out — whatever plan the
+    /// caller's options carry. Also the entry's key, with `seed`.
     RrOptions sampling;
     std::array<RrStream, kRrStreams> streams;
     /// The coverage index over the streams' longest pool so far, shared by
@@ -125,10 +121,6 @@ class RrStreamCache {
 
   const Graph* graph_ = nullptr;
   std::vector<std::unique_ptr<Entry>> entries_;
-  /// Lazily built skip-kernel plans for the bound graph, shared by every
-  /// entry that needs them (cleared with the entries on Clear()).
-  std::shared_ptr<const SamplingPlan> ic_plan_;
-  std::shared_ptr<const SamplingPlan> lt_plan_;
   // Monotone lifetime counters, advanced by RrCollection::GenerateUntil
   // after its parallel stream extension.
   size_t sampled_sets_ = 0;

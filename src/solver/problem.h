@@ -20,6 +20,11 @@
 
 namespace uic {
 
+/// Most Monte-Carlo simulations one estimate may run: a welfare estimate's
+/// `eval_sims` (exp/solve.h), mc-greedy's simulations per evaluation and
+/// rr-cim's forward simulations.
+inline constexpr long long kMaxEvalSims = 1000000;
+
 /// \brief A welfare-maximization instance (§3.3): network, per-item seed
 /// budgets, and (optionally) the utility configuration.
 ///
@@ -47,7 +52,8 @@ struct WelfareProblem {
 /// MC greedy tuning (see core/mc_greedy.h). McGreedyAllocate reads these
 /// fields directly; this struct is the only copy of the knobs.
 struct McGreedySolverOptions {
-  size_t simulations_per_eval = 200;  ///< MC samples per welfare estimate
+  /// MC samples per welfare estimate, in [1, kMaxEvalSims].
+  size_t simulations_per_eval = 200;
   /// Restrict candidate seed nodes (empty = all nodes). Pre-filtering to,
   /// say, the top-degree nodes makes the greedy usable on mid-size graphs.
   std::vector<NodeId> candidates;
@@ -57,7 +63,7 @@ struct McGreedySolverOptions {
 /// directly; this struct is the only copy of the knob.
 struct ComIcSolverOptions {
   /// Forward Monte-Carlo simulations used by RR-CIM to estimate per-node
-  /// i2-adoption probabilities.
+  /// i2-adoption probabilities, in [1, kMaxEvalSims].
   size_t cim_forward_simulations = 200;
 };
 
@@ -67,10 +73,12 @@ enum class BdhsVariant { kStep, kConcave };
 /// BDHS tuning.
 struct BdhsSolverOptions {
   BdhsVariant variant = BdhsVariant::kStep;
-  /// kStep: discount factor an isolated adopter's utility is scaled by.
+  /// kStep: discount factor an isolated adopter's utility is scaled by,
+  /// in [0, 1].
   double kappa = 0.0;
-  /// kConcave requires a uniform edge probability; the solver re-weights a
-  /// copy of the graph to this value (as the Fig. 9 bench does).
+  /// kConcave requires a uniform edge probability, in (0, 1]; the solver
+  /// re-weights a copy of the graph to this value (as the Fig. 9 bench
+  /// does).
   double uniform_p = 0.01;
 };
 

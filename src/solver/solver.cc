@@ -50,6 +50,26 @@ Status Solver::Validate(const WelfareProblem& problem) const {
   if (!(options_.ell >= 1e-6 && options_.ell <= 16.0)) {
     return Status::InvalidArgument("options.ell must be in [1e-6, 16]");
   }
+  // Every tuning field is checked whatever the solver, so a bad value is
+  // an error even where it would be unused.
+  const auto sims_in_range = [](size_t sims) {
+    return sims >= 1 && sims <= static_cast<size_t>(kMaxEvalSims);
+  };
+  const std::string sims_range = "[1, " + Describe(kMaxEvalSims) + "]";
+  if (!sims_in_range(options_.mc_greedy.simulations_per_eval)) {
+    return Status::InvalidArgument(
+        "options.mc_greedy.simulations_per_eval must be in " + sims_range);
+  }
+  if (!sims_in_range(options_.comic.cim_forward_simulations)) {
+    return Status::InvalidArgument(
+        "options.comic.cim_forward_simulations must be in " + sims_range);
+  }
+  if (!(options_.bdhs.uniform_p > 0.0 && options_.bdhs.uniform_p <= 1.0)) {
+    return Status::InvalidArgument("options.bdhs.uniform_p must be in (0, 1]");
+  }
+  if (!(options_.bdhs.kappa >= 0.0 && options_.bdhs.kappa <= 1.0)) {
+    return Status::InvalidArgument("options.bdhs.kappa must be in [0, 1]");
+  }
 
   const Traits t = traits();
   if (t.needs_params && !problem.params.has_value()) {

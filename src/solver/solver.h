@@ -59,7 +59,9 @@ class Solver {
 
   /// Check `problem` and the options against this solver: InvalidArgument
   /// / FailedPrecondition / OutOfRange with a message naming the offending
-  /// field. The options' limits are eps in [1e-6, 1] and ell in [1e-6, 16].
+  /// field. The options' limits hold whatever the solver: eps in [1e-6, 1],
+  /// ell in [1e-6, 16], mc-greedy and rr-cim simulations in
+  /// [1, kMaxEvalSims], BDHS uniform_p in (0, 1] and kappa in [0, 1].
   [[nodiscard]] Status Validate(const WelfareProblem& problem) const;
 
   /// Validate `problem`, then run the algorithm. Never crashes on

@@ -147,6 +147,28 @@ expect_exit(eps_below_min 1
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --eps 1e-9)
 expect_exit(negative_mc 1
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc -1)
+# Solver tuning limits (Solver::Validate): simulation counts in [1, 1e6],
+# the BDHS edge probability in (0, 1] and its discount in [0, 1]. Negative
+# simulation counts once died of SIGFPE, an out-of-range or NaN edge
+# probability aborted on a CHECK, and a NaN discount reported a NaN
+# objective.
+expect_exit(negative_greedy_sims 1
+  --algorithm mc-greedy --network er --nodes 50 --edges 200 --mc 0
+  --greedy-sims -1)
+expect_exit(negative_cim_sims 1
+  --algorithm rr-cim --network er --nodes 50 --edges 200 --mc 0
+  --cim-sims -1)
+foreach(p 0 2 nan)
+  expect_exit(bdhs_concave_uniform_p_${p} 1
+    --algorithm bdhs --bdhs-variant concave --network er --nodes 50
+    --edges 200 --mc 0 --uniform-p ${p})
+endforeach()
+expect_exit(kappa_nan 1
+  --algorithm bdhs --network er --nodes 50 --edges 200 --mc 0 --kappa nan)
+# The kernel spellings are scan and skip only.
+expect_exit(sampling_kernel_auto 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
+  --sampling-kernel auto)
 # A node count whose + 1 wraps the 32-bit CSR offsets (once SIGSEGV), from
 # a file and from the generator.
 file(WRITE ${WORK_DIR}/wrap_graph.txt "nodes 4294967295\nedges 0\n")

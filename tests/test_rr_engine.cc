@@ -32,7 +32,7 @@ namespace {
 
 // --- golden values pinned from the stream-grid engine ------------------
 //
-// Two kernels, two golden families. The default (auto → skip) kernel draws
+// Two kernels, two golden families. The default (skip) kernel draws
 // a different RNG sequence than the scan kernel, so each pins its own
 // goldens; the kScan pins are the pre-skip-kernel values, unchanged since
 // that kernel's draw sequence is untouched.
@@ -251,17 +251,6 @@ TEST(RrEngineGolden, ScanKernelStillMatchesPreSkipGoldens) {
   const ImResult r = Prima(pg, {10, 5, 3}, 0.5, 1.0, 11, 4, {}, scan);
   EXPECT_EQ(r.seeds, kGoldenScanPrimaSeeds);
   EXPECT_EQ(r.num_rr_sets, kGoldenScanPrimaRrSets);
-}
-
-TEST(RrEngineGolden, AutoKernelResolvesToSkip) {
-  // kAuto and kSkip are the same resolved kernel (per-node fallback to the
-  // general scan path is the plan's job, not the option's) — same goldens.
-  Graph g = GoldenGraph();
-  RrOptions skip;
-  skip.kernel = SamplingKernel::kSkip;
-  RrCollection pool(g, 42, 4, skip);
-  pool.GenerateUntil(2000);
-  EXPECT_EQ(PoolHash(pool), kGoldenIcPoolHash);
 }
 
 TEST(RrEngineGolden, PoolIsIndependentOfGrowthSchedule) {

@@ -1,4 +1,5 @@
-// Sampling-plan classification + scan-vs-skip kernel equivalence.
+// Sampling-plan classification, scan-vs-skip kernel equivalence, and the
+// graph as the one owner of its plans.
 //
 // The two kernels draw DIFFERENT RNG sequences, so cross-kernel checks are
 // statistical (frequencies and means within tolerance at sample counts
@@ -10,14 +11,22 @@
 //     so whole pools are bit-identical between kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "diffusion/ic_model.h"
+#include "exp/configs.h"
+#include "exp/solve.h"
+#include "exp/sweep.h"
 #include "graph/generators.h"
 #include "graph/sampling_plan.h"
+#include "obs/metrics.h"
 #include "rrset/rr_collection.h"
 
 namespace uic {
@@ -39,17 +48,16 @@ Graph StarInto(NodeId leaves, const std::vector<double>& probs) {
 // --- flag spelling -----------------------------------------------------
 
 TEST(SamplingKernelFlag, ParseAndNameRoundTrip) {
-  for (SamplingKernel k :
-       {SamplingKernel::kAuto, SamplingKernel::kScan, SamplingKernel::kSkip}) {
+  for (SamplingKernel k : {SamplingKernel::kScan, SamplingKernel::kSkip}) {
     SamplingKernel parsed;
     ASSERT_TRUE(ParseSamplingKernel(SamplingKernelName(k), &parsed));
     EXPECT_EQ(parsed, k);
   }
   SamplingKernel parsed;
-  EXPECT_FALSE(ParseSamplingKernel("fast", &parsed));
-  EXPECT_FALSE(ParseSamplingKernel("", &parsed));
-  EXPECT_EQ(ResolveSamplingKernel(SamplingKernel::kAuto), SamplingKernel::kSkip);
-  EXPECT_EQ(ResolveSamplingKernel(SamplingKernel::kScan), SamplingKernel::kScan);
+  for (const char* spelling : {"fast", "", "auto"}) {
+    EXPECT_FALSE(ParseSamplingKernel(spelling, &parsed)) << spelling;
+  }
+  EXPECT_EQ(RrOptions().kernel, SamplingKernel::kSkip);
 }
 
 // --- geometric gap primitive -------------------------------------------
@@ -404,6 +412,238 @@ TEST(ForwardKernel, CertainEdgesReachEverythingUnderBothKernels) {
   const double scan = EstimateSpread(g, seeds, 64, 1, 2, SamplingKernel::kScan);
   const double skip = EstimateSpread(g, seeds, 64, 1, 2, SamplingKernel::kSkip);
   EXPECT_EQ(scan, skip);  // deterministic diffusion: every run identical
+}
+
+// --- the graph owns its plans ------------------------------------------
+
+using PlanKind = Graph::PlanKind;
+
+constexpr PlanKind kAllPlanKinds[] = {
+    PlanKind::kReverseIc, PlanKind::kReverseLt, PlanKind::kForwardIc};
+
+obs::Counter& PlanBuilds() {
+  UIC_METRIC_COUNTER(builds, "uic_sampling_plan_builds_total",
+                     "Sampling plans built (SamplingPlan::Build calls).");
+  return builds;
+}
+
+Graph WeightedCascadeGraph() {
+  Graph g = GenerateErdosRenyi(300, 1800, 5);
+  g.ApplyWeightedCascade();
+  return g;
+}
+
+// Every node that reaches `root`, `root` included, ascending.
+std::vector<NodeId> Ancestors(const Graph& g, NodeId root) {
+  std::vector<uint8_t> seen(g.num_nodes(), 0);
+  std::vector<NodeId> queue = {root};
+  seen[root] = 1;
+  for (size_t i = 0; i < queue.size(); ++i) {
+    for (NodeId u : g.InNeighbors(queue[i])) {
+      if (!seen[u]) {
+        seen[u] = 1;
+        queue.push_back(u);
+      }
+    }
+  }
+  std::sort(queue.begin(), queue.end());
+  return queue;
+}
+
+// Whether `a` and `b` hold the same sets in the same order.
+bool SamePool(const RrCollection& a, const RrCollection& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t r = 0; r < a.size(); ++r) {
+    if (!std::ranges::equal(a.Set(r), b.Set(r))) return false;
+  }
+  return true;
+}
+
+TEST(GraphPlans, OneBuildPerGraphAndPlanKind) {
+  // Every consumer of a plan, on one graph: solves under IC and LT on
+  // private caches, a cold sweep (its cache is cleared every cell), a
+  // cold collection, standalone samplers and forward-spread estimates.
+  // Between them the graph builds each plan kind once, and nothing else
+  // builds one.
+  const Graph g = WeightedCascadeGraph();
+  const uint64_t before = PlanBuilds().Value();
+  auto built = [&] { return PlanBuilds().Value() - before; };
+
+  WelfareProblem problem;
+  problem.graph = &g;
+  problem.params = MakeTwoItemConfig12();
+  problem.budgets = {3, 2};
+  SolveSpec spec;
+  spec.algorithm = "bundle-grd";
+  spec.eval_sims = 20;
+  ASSERT_TRUE(RunSolve(problem, spec).ok());
+  ASSERT_TRUE(RunSolve(problem, spec).ok());
+  EXPECT_EQ(built(), 1u);
+  problem.model = DiffusionModel::kLinearThreshold;
+  ASSERT_TRUE(RunSolve(problem, spec).ok());
+  EXPECT_EQ(built(), 2u);
+
+  SweepSpec sweep;
+  sweep.graph = &g;
+  sweep.params = MakeTwoItemConfig12();
+  sweep.algorithms = {"bundle-grd", "item-disj"};
+  sweep.budget_points = {{1, 1}, {2, 2}};
+  sweep.eval_simulations = 0;
+  sweep.warm = false;
+  ASSERT_TRUE(SweepRunner(sweep).Run().ok());
+
+  RrCollection cold(g, 7, 2);
+  cold.GenerateUntil(500);
+  for (bool lt : {false, true}) {
+    RrOptions options;
+    options.linear_threshold = lt;
+    RrSampler sampler(g, options);
+    Rng rng = Rng::Split(1, 0);
+    std::vector<NodeId> set;
+    sampler.SampleInto(rng, &set);
+  }
+  EXPECT_EQ(built(), 2u);
+
+  EstimateSpread(g, {0, 1}, 100, 3, 2);
+  EstimateSpread(g, {2}, 100, 4, 2);
+  EXPECT_EQ(built(), 3u);
+  for (PlanKind kind : kAllPlanKinds) {
+    EXPECT_EQ(&g.Plan(kind), &g.Plan(kind));
+  }
+  EXPECT_EQ(built(), 3u);
+}
+
+TEST(GraphPlans, ConcurrentFirstUseBuildsOnce) {
+  // The shared pool's workers all ask a fresh graph for one plan at once:
+  // one of them builds it, and every caller gets the same plan.
+  Graph g = GenerateErdosRenyi(20000, 120000, 9);
+  g.ApplyTrivalency({0.1, 0.01, 0.001}, 3);
+  const uint64_t before = PlanBuilds().Value();
+  ThreadPool& pool = ThreadPool::Shared();
+  const unsigned callers = pool.num_threads() + 1;
+  std::vector<const SamplingPlan*> seen(callers, nullptr);
+  pool.ParallelFor(callers, callers, [&](unsigned, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      seen[i] = &g.Plan(PlanKind::kReverseIc);
+    }
+  });
+  EXPECT_EQ(PlanBuilds().Value() - before, 1u);
+  for (const SamplingPlan* plan : seen) EXPECT_EQ(plan, seen[0]);
+}
+
+TEST(GraphPlans, ReweightingDropsThePlans) {
+  // A plan built under weighted cascade must not survive a re-weight to
+  // p = 1: every RR set is then exactly its root's ancestors.
+  Graph g = WeightedCascadeGraph();
+  g.Plan(PlanKind::kReverseIc);
+  g.ApplyConstantProbability(1.0);
+  RrSampler sampler(g);
+  Rng rng = Rng::Split(9, 1);
+  std::vector<NodeId> set;
+  for (NodeId root = 0; root < g.num_nodes(); ++root) {
+    sampler.SampleRootedInto(root, rng, &set);
+    std::sort(set.begin(), set.end());
+    ASSERT_EQ(set, Ancestors(g, root)) << "root " << root;
+  }
+
+  // Each mutator drops every plan kind: the plans rebuilt afterwards carry
+  // the new probabilities.
+  const std::vector<std::pair<const char*, void (*)(Graph&)>> mutators = {
+      {"constant", [](Graph& h) { h.ApplyConstantProbability(0.3); }},
+      {"cascade", [](Graph& h) { h.ApplyWeightedCascade(); }},
+      {"trivalency", [](Graph& h) { h.ApplyTrivalency({0.2, 0.02}, 4); }},
+  };
+  for (const auto& [name, mutate] : mutators) {
+    for (PlanKind kind : kAllPlanKinds) g.Plan(kind);
+    mutate(g);
+    for (PlanKind kind : {PlanKind::kReverseIc, PlanKind::kForwardIc}) {
+      const bool forward = kind == PlanKind::kForwardIc;
+      const SamplingPlan& plan = g.Plan(kind);
+      for (NodeId v = 0; v < g.num_nodes(); ++v) {
+        double want = 0.0;
+        for (float p : forward ? g.OutProbs(v) : g.InProbs(v)) want += p;
+        double got = 0.0;
+        for (const SamplingPlan::Bucket& b : plan.Buckets(v)) {
+          got += b.size * static_cast<double>(b.p);
+        }
+        ASSERT_NEAR(got, want, 1e-5) << name << " node " << v;
+      }
+    }
+    // LT: the alias tables draw "none fires" with probability 1 − Σ w,
+    // checked on a node of least positive in-degree, where it is largest.
+    NodeId v = 0;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (g.InDegree(u) > 0 &&
+          (g.InDegree(v) == 0 || g.InDegree(u) < g.InDegree(v))) {
+        v = u;
+      }
+    }
+    double sum = 0.0;
+    for (float p : g.InProbs(v)) sum += p;
+    const SamplingPlan& lt = g.Plan(PlanKind::kReverseLt);
+    Rng lt_rng = Rng::Split(6, 2);
+    const int draws = 40000;
+    int none = 0;
+    for (int i = 0; i < draws; ++i) {
+      none += lt.SampleLtSource(v, lt_rng) == SamplingPlan::kNoSource;
+    }
+    EXPECT_NEAR(none / static_cast<double>(draws), std::max(0.0, 1.0 - sum),
+                0.02)
+        << name;
+  }
+}
+
+TEST(GraphPlans, ACopyBuildsItsOwnPlans) {
+  // A copy of a graph whose plans exist outlives its source: its plans
+  // point into its own arrays, and its pools and estimates are a fresh
+  // graph's (under ASan, a plan left pointing into the source fails here).
+  const Graph fresh = WeightedCascadeGraph();
+  auto source = std::make_unique<Graph>(WeightedCascadeGraph());
+  for (PlanKind kind : kAllPlanKinds) source->Plan(kind);
+  const Graph copy = *source;
+  EXPECT_NE(&copy.Plan(PlanKind::kReverseLt),
+            &source->Plan(PlanKind::kReverseLt));
+  source.reset();
+
+  // Under weighted cascade every node's in-edges form one bucket, which
+  // aliases the graph's own CSR slice.
+  const SamplingPlan& reverse = copy.Plan(PlanKind::kReverseIc);
+  for (NodeId v = 0; v < copy.num_nodes(); ++v) {
+    if (copy.InDegree(v) == 0) continue;
+    ASSERT_EQ(reverse.Buckets(v)[0].nodes, copy.InNeighbors(v).data());
+  }
+  for (bool lt : {false, true}) {
+    RrOptions options;
+    options.linear_threshold = lt;
+    RrCollection a(copy, 42, 4, options);
+    RrCollection b(fresh, 42, 4, options);
+    a.GenerateUntil(3000);
+    b.GenerateUntil(3000);
+    EXPECT_TRUE(SamePool(a, b)) << "lt=" << lt;
+  }
+  EXPECT_EQ(EstimateSpread(copy, {0, 5}, 500, 3, 2),
+            EstimateSpread(fresh, {0, 5}, 500, 3, 2));
+}
+
+TEST(GraphPlans, AMoveCarriesItsPlans) {
+  // The CSR buffers move with the plans that point into them: a move
+  // builds nothing and hands over the same plans.
+  Graph g = WeightedCascadeGraph();
+  const SamplingPlan* plan = &g.Plan(PlanKind::kReverseIc);
+  const uint64_t before = PlanBuilds().Value();
+  Graph moved = std::move(g);
+  EXPECT_EQ(&moved.Plan(PlanKind::kReverseIc), plan);
+  Graph assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(&assigned.Plan(PlanKind::kReverseIc), plan);
+  EXPECT_EQ(PlanBuilds().Value(), before);
+
+  const Graph fresh = WeightedCascadeGraph();
+  RrCollection a(assigned, 42, 4);
+  RrCollection b(fresh, 42, 4);
+  a.GenerateUntil(2000);
+  b.GenerateUntil(2000);
+  EXPECT_TRUE(SamePool(a, b));
 }
 
 }  // namespace

@@ -251,6 +251,57 @@ TEST(SolverApi, RejectsNonPositiveEpsAndEll) {
     EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
         << eps << " " << ell;
   }
+
+  // Every tuning field has a limit too, checked whatever the solver:
+  // simulations in [1, kMaxEvalSims], BDHS uniform_p in (0, 1] and kappa
+  // in [0, 1]. NaN is outside each, and -1 is what a negative flag value
+  // becomes as a size_t.
+  const std::pair<const char*, void (*)(SolverOptions&)> kBadTuning[] = {
+      {"greedy sims 0",
+       [](SolverOptions& o) { o.mc_greedy.simulations_per_eval = 0; }},
+      {"greedy sims -1",
+       [](SolverOptions& o) {
+         o.mc_greedy.simulations_per_eval = static_cast<size_t>(-1);
+       }},
+      {"greedy sims above max",
+       [](SolverOptions& o) {
+         o.mc_greedy.simulations_per_eval = kMaxEvalSims + 1;
+       }},
+      {"cim sims 0",
+       [](SolverOptions& o) { o.comic.cim_forward_simulations = 0; }},
+      {"cim sims -1",
+       [](SolverOptions& o) {
+         o.comic.cim_forward_simulations = static_cast<size_t>(-1);
+       }},
+      {"uniform_p 0", [](SolverOptions& o) { o.bdhs.uniform_p = 0.0; }},
+      {"uniform_p -0.5", [](SolverOptions& o) { o.bdhs.uniform_p = -0.5; }},
+      {"uniform_p 2", [](SolverOptions& o) { o.bdhs.uniform_p = 2.0; }},
+      {"uniform_p nan",
+       [](SolverOptions& o) { o.bdhs.uniform_p = std::nan(""); }},
+      {"kappa -0.1", [](SolverOptions& o) { o.bdhs.kappa = -0.1; }},
+      {"kappa 1.5", [](SolverOptions& o) { o.bdhs.kappa = 1.5; }},
+      {"kappa nan", [](SolverOptions& o) { o.bdhs.kappa = std::nan(""); }},
+  };
+  for (const auto& [name, mutate] : kBadTuning) {
+    SolverOptions bad;
+    mutate(bad);
+    for (const char* algorithm :
+         {"bundle-grd", "mc-greedy", "rr-cim", "bdhs"}) {
+      const Status status =
+          SolverRegistry::Create(algorithm, bad)->Validate(TwoItemProblem(g));
+      EXPECT_EQ(status.code(), Status::Code::kInvalidArgument)
+          << name << " " << algorithm;
+    }
+  }
+
+  // The limits themselves are in range.
+  SolverOptions edge;
+  edge.mc_greedy.simulations_per_eval = kMaxEvalSims;
+  edge.comic.cim_forward_simulations = 1;
+  edge.bdhs.uniform_p = 1.0;
+  edge.bdhs.kappa = 1.0;
+  EXPECT_TRUE(
+      SolverRegistry::Create("bdhs", edge)->Validate(TwoItemProblem(g)).ok());
 }
 
 // ---- Table row vs direct call of the algorithm, fixed seeds -----------
