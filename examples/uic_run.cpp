@@ -26,14 +26,14 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/serialization.h"
+#include "exp/fields.h"
 #include "exp/flags.h"
-#include "exp/solve.h"
-#include "exp/specs.h"
 #include "exp/sweep.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -127,39 +127,20 @@ void InstallSweepSignalHandlers() {
   sigaction(SIGTERM, &action, nullptr);
 }
 
-/// The network flags, mapped onto exp/specs.h (which owns the roster, the
-/// defaults and the limits).
-Result<Graph> BuildNetworkFromFlags(const Flags& flags) {
-  NetworkSpec spec;
-  spec.path = flags.GetString("graph");
-  spec.network = flags.GetString("network", spec.network);
-  spec.scale = flags.GetDouble("scale", spec.scale);
-  spec.seed = static_cast<uint64_t>(
-      flags.GetInt("net-seed", static_cast<long>(spec.seed)));
-  spec.nodes = flags.GetInt("nodes", spec.nodes);
-  if (flags.Has("edges")) spec.edges = flags.GetInt("edges", 0);
-  spec.p = flags.GetDouble("p", spec.p);
-  return BuildNetwork(spec);
-}
+/// uic_run's own flags; the others are the rows of the field tables.
+constexpr std::string_view kOwnFlags[] = {
+    "algorithms", "sweep", "cold", "report-csv", "report-json", "no-timing",
+    "budget", "budgets", "workers", "save-allocation", "metrics-out",
+    "trace-out", "list", "help"};
 
-/// The item flags, mapped onto exp/specs.h; `--config none` (no params,
-/// so no welfare evaluation) is uic_run's own.
-Result<std::optional<ItemParams>> BuildParamsFromFlags(const Flags& flags,
-                                                       long items) {
-  ConfigSpec spec;
-  spec.path = flags.GetString("params");
-  spec.config = flags.GetString("config", spec.config);
+/// BuildConfig, or no params for `--config none`: uic_run's own setting,
+/// which skips the welfare estimate. --items then only sizes the budget
+/// vector, under the same limit.
+Result<std::optional<ItemParams>> BuildParams(const ConfigSpec& spec) {
   if (spec.path.empty() && spec.config == "none") {
-    // --items then only sizes the budget vector, under the same limit.
-    const Status st = CheckItemCount(items);
-    if (!st.ok()) return st;
+    UIC_RETURN_NOT_OK(CheckItemCount(spec.items));
     return std::optional<ItemParams>();
   }
-  spec.items = items;
-  // Deliberately NOT the solver --seed: sweeping solver seeds must not
-  // silently change the problem instance itself.
-  spec.seed = static_cast<uint64_t>(
-      flags.GetInt("param-seed", static_cast<long>(spec.seed)));
   Result<ItemParams> built = BuildConfig(spec);
   if (!built.ok()) return built.status();
   return std::optional<ItemParams>(built.MoveValue());
@@ -167,9 +148,10 @@ Result<std::optional<ItemParams>> BuildParamsFromFlags(const Flags& flags,
 
 /// Comma-separated algorithm list for sweep mode; falls back to
 /// --algorithm so a one-algorithm sweep needs no extra flag.
-std::vector<std::string> SweepAlgorithms(const Flags& flags) {
+std::vector<std::string> SweepAlgorithms(const Flags& flags,
+                                         const std::string& algorithm) {
   std::string list = flags.GetString("algorithms");
-  if (list.empty()) list = flags.GetString("algorithm");
+  if (list.empty()) list = algorithm;
   std::vector<std::string> names;
   std::string token;
   for (size_t i = 0; i <= list.size(); ++i) {
@@ -184,20 +166,19 @@ std::vector<std::string> SweepAlgorithms(const Flags& flags) {
 }
 
 int RunSweep(const Flags& flags, const WelfareProblem& problem,
-             const SolverOptions& options) {
+             const SolveSpec& solve) {
   const bool timing = !flags.GetBool("no-timing");
 
   SweepSpec spec;
   spec.graph = problem.graph;
   spec.params = problem.params;
   spec.model = problem.model;
-  spec.algorithms = SweepAlgorithms(flags);
-  spec.options = options;
+  spec.algorithms = SweepAlgorithms(flags, solve.algorithm);
+  spec.options = solve.options;
   spec.warm = !flags.GetBool("cold");
-  spec.eval_simulations = problem.params.has_value()
-                              ? static_cast<size_t>(flags.GetInt("mc", 400))
-                              : 0;
-  spec.eval_seed = static_cast<uint64_t>(flags.GetInt("eval-seed", 999));
+  spec.eval_simulations =
+      problem.params.has_value() ? static_cast<size_t>(solve.eval_sims) : 0;
+  spec.eval_seed = solve.eval_seed;
   InstallSweepSignalHandlers();
   spec.cancel = &g_interrupted;
 
@@ -291,6 +272,8 @@ struct ObsFlusher {
 
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
+  flags.RejectUnknown(kOwnFlags, NetworkFields(), ConfigFields(),
+                      SolveFields());
 
   ObsFlusher obs_flusher;
   obs_flusher.metrics_path = flags.GetString("metrics-out");
@@ -310,10 +293,25 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const std::string algorithm = flags.GetString("algorithm");
+  // The field tables read the rows (exp/fields.h) over uic_run's defaults
+  // where they differ from the daemon's (docs/serving.md).
+  NetworkSpec network;
+  ConfigSpec config;
+  SolveRequest request;
+  request.spec.eval_sims = 400;
+  request.spec.eval_seed = 999;
+  for (const Status& st : {flags.Apply(NetworkFields(), &network),
+                           flags.Apply(ConfigFields(), &config),
+                           flags.Apply(SolveFields(), &request)}) {
+    if (st.ok()) continue;
+    std::fprintf(stderr, "uic_run: %s\n", st.message().c_str());
+    return st.code() == Status::Code::kOutOfRange ? 1 : 2;
+  }
+  const std::string& algorithm = request.spec.algorithm;
   const bool sweep_mode = !flags.GetString("sweep").empty();
   const bool has_algorithms =
-      !algorithm.empty() || (sweep_mode && !SweepAlgorithms(flags).empty());
+      !algorithm.empty() ||
+      (sweep_mode && !SweepAlgorithms(flags, algorithm).empty());
   if (!has_algorithms || flags.GetBool("help")) {
     std::fputs(kUsage, stderr);
     std::fputs("\nregistered solvers:", stderr);
@@ -325,7 +323,7 @@ int Run(int argc, char** argv) {
   }
 
   // --- network ----------------------------------------------------------
-  Result<Graph> graph = BuildNetworkFromFlags(flags);
+  Result<Graph> graph = BuildNetwork(network);
   if (!graph.ok()) {
     std::fprintf(stderr, "uic_run: %s\n", graph.status().ToString().c_str());
     return 1;
@@ -343,13 +341,10 @@ int Run(int argc, char** argv) {
       return 2;
     }
     budgets = parsed.MoveValue();
+    config.items = static_cast<long long>(budgets.size());
   }
 
-  const long items = budgets.empty()
-                         ? flags.GetInt("items", ConfigSpec().items)
-                         : static_cast<long>(budgets.size());
-
-  Result<std::optional<ItemParams>> params = BuildParamsFromFlags(flags, items);
+  Result<std::optional<ItemParams>> params = BuildParams(config);
   if (!params.ok()) {
     std::fprintf(stderr, "uic_run: %s\n", params.status().ToString().c_str());
     return 1;
@@ -358,69 +353,35 @@ int Run(int argc, char** argv) {
     // Uniform budgets sized to the configuration (or --items for 'none').
     const size_t n = params.value().has_value()
                          ? params.value()->num_items()
-                         : static_cast<size_t>(items);
+                         : static_cast<size_t>(config.items);
     budgets.assign(n, static_cast<uint32_t>(flags.GetInt("budget", 10)));
   }
 
   // --- solver options ---------------------------------------------------
-  SolverOptions options;
-  options.eps = flags.GetDouble("eps", 0.5);
-  options.ell = flags.GetDouble("ell", 1.0);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   const long workers = flags.GetInt("workers", 0);
   if (workers < 0 || workers > static_cast<long>(kMaxPoolThreads)) {
     std::fprintf(stderr, "uic_run: --workers must be in [0, %u]\n",
                  kMaxPoolThreads);
     return 2;
   }
+  SolverOptions& options = request.spec.options;
   options.workers = static_cast<unsigned>(workers);
   // Also size the process-wide shared pool (a no-op if something already
   // instantiated it): solvers route ParallelFor through ThreadPool::Shared,
   // and results are worker-count invariant by the determinism contract.
   if (options.workers > 0) ThreadPool::ConfigureShared(options.workers);
-  options.mc_greedy.simulations_per_eval =
-      static_cast<size_t>(flags.GetInt("greedy-sims", 200));
-  options.comic.cim_forward_simulations =
-      static_cast<size_t>(flags.GetInt("cim-sims", 200));
-  const std::string variant = flags.GetString("bdhs-variant", "step");
-  if (variant == "concave") {
-    options.bdhs.variant = BdhsVariant::kConcave;
-  } else if (variant != "step") {
-    std::fprintf(stderr, "uic_run: unknown --bdhs-variant '%s'\n",
-                 variant.c_str());
-    return 1;
-  }
-  options.bdhs.kappa = flags.GetDouble("kappa", 0.0);
-  options.bdhs.uniform_p = flags.GetDouble("uniform-p", 0.01);
-  const std::string kernel = flags.GetString("sampling-kernel", "skip");
-  if (!ParseSamplingKernel(kernel, &options.rr_options.kernel)) {
-    std::fprintf(stderr, "uic_run: unknown --sampling-kernel '%s'\n",
-                 kernel.c_str());
-    return 1;
-  }
 
   WelfareProblem problem;
   problem.graph = &graph.value();
   problem.budgets = budgets;
   problem.params = params.MoveValue();
-  const std::string model = flags.GetString("model", "ic");
-  if (model == "lt") {
-    problem.model = DiffusionModel::kLinearThreshold;
-  } else if (model != "ic") {
-    std::fprintf(stderr, "uic_run: unknown --model '%s'\n", model.c_str());
-    return 1;
-  }
+  problem.model = request.model;
 
   // --- sweep mode ---------------------------------------------------------
-  if (sweep_mode) return RunSweep(flags, problem, options);
+  if (sweep_mode) return RunSweep(flags, problem, request.spec);
 
   // --- solve ------------------------------------------------------------
-  SolveSpec spec;
-  spec.algorithm = algorithm;
-  spec.options = options;
-  spec.eval_sims = flags.GetInt("mc", 400);
-  spec.eval_seed = static_cast<uint64_t>(flags.GetInt("eval-seed", 999));
-  Result<SolveOutcome> solved = RunSolve(problem, spec);
+  Result<SolveOutcome> solved = RunSolve(problem, request.spec);
   if (!solved.ok()) {
     std::fprintf(stderr, "uic_run: %s\n", solved.status().ToString().c_str());
     return 1;

@@ -1,8 +1,9 @@
 // The one solve path of uic_run, the sweep engine (exp/sweep.h) and the
-// daemon's solve verb (serve/server.h). Each front end maps its own syntax
-// onto a SolveSpec and renders the SolveOutcome; RunSolve owns the limits,
-// the RR accounting, and scoring the allocation with the estimator of the
-// diffusion model it was chosen for (§3.3; §5 for LT).
+// daemon's solve verb (serve/server.h). Each front end fills a SolveSpec
+// through the field table of exp/fields.h and renders the SolveOutcome;
+// RunSolve owns the limits, the RR accounting, and scoring the allocation
+// with the estimator of the diffusion model it was chosen for (§3.3; §5
+// for LT).
 #pragma once
 
 #include <cstdint>

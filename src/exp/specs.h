@@ -4,12 +4,11 @@
 // way: a network (a saved graph, a generator, or one of the Table 2
 // stand-ins of networks.h) and a utility configuration (a saved
 // ItemParams file or one of the Table 3–5 configurations of configs.h).
-// They differ only in syntax — command-line flags against JSON fields —
-// so each front end fills a NetworkSpec / ConfigSpec and calls
-// BuildNetwork / BuildConfig here, which own the rosters, the defaults and
-// the limits. Every limit is checked before anything is generated: a spec
-// outside them is an InvalidArgument, never a failed CHECK or an
-// allocation failure.
+// Each front end fills a NetworkSpec / ConfigSpec through the field tables
+// of exp/fields.h and calls BuildNetwork / BuildConfig here, which own the
+// rosters, the defaults and the limits. Every limit is checked before
+// anything is generated: a spec outside them is an InvalidArgument, never
+// a failed CHECK or an allocation failure.
 #pragma once
 
 #include <cstdint>

@@ -10,6 +10,7 @@
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
+#include "exp/fields.h"
 #include "exp/solve.h"
 #include "items/itemset.h"
 #include "obs/trace.h"
@@ -397,7 +398,18 @@ Status Server::DoSolve(Call& call) {
   }
   failpoint::SleepFor(fp);
 
+  // The daemon's defaults where uic_run's differ (docs/serving.md); the
+  // field table reads the rest, and CheckSolve owns the limits.
   const Json& body = call.request.body;
+  SolveRequest request;
+  request.spec.algorithm = "bundle-grd";
+  request.spec.eval_seed = 20190701;
+  UIC_RETURN_NOT_OK(ApplyFields(body, SolveFields(),
+                                {"graph", "params", "budgets", "warm"},
+                                &request));
+  const SolveSpec& spec = request.spec;
+  const bool lt = request.model == DiffusionModel::kLinearThreshold;
+
   Result<std::string> graph_name = GetStringField(body, "graph");
   if (!graph_name.ok()) return graph_name.status();
   if (graph_name.value().empty()) {
@@ -427,6 +439,7 @@ Status Server::DoSolve(Call& call) {
   WelfareProblem problem;
   problem.graph = graph.graph.get();
   problem.budgets = std::move(budgets);
+  problem.model = request.model;
 
   Result<std::string> params_name = GetStringField(body, "params");
   if (!params_name.ok()) return params_name.status();
@@ -436,37 +449,6 @@ Status Server::DoSolve(Call& call) {
     problem.params = *params.value().params;
   }
 
-  Result<std::string> model = GetStringField(body, "model", "ic");
-  if (!model.ok()) return model.status();
-  if (model.value() != "ic" && model.value() != "lt") {
-    return Status::InvalidArgument("'model' must be \"ic\" or \"lt\"");
-  }
-  const bool lt = model.value() == "lt";
-  problem.model = lt ? DiffusionModel::kLinearThreshold
-                     : DiffusionModel::kIndependentCascade;
-
-  // Only the JSON types are read here; CheckSolve owns the limits.
-  SolveSpec spec;
-  Result<std::string> algorithm =
-      GetStringField(body, "algorithm", "bundle-grd");
-  if (!algorithm.ok()) return algorithm.status();
-  spec.algorithm = algorithm.MoveValue();
-  Result<long long> seed = GetIntField(body, "seed", 1, 0, INT64_MAX);
-  if (!seed.ok()) return seed.status();
-  spec.options.seed = static_cast<uint64_t>(seed.value());
-  Result<double> eps = GetNumberField(body, "eps", spec.options.eps);
-  if (!eps.ok()) return eps.status();
-  spec.options.eps = eps.value();
-  Result<double> ell = GetNumberField(body, "ell", spec.options.ell);
-  if (!ell.ok()) return ell.status();
-  spec.options.ell = ell.value();
-  Result<long long> eval_sims = GetIntField(body, "eval_sims", 0);
-  if (!eval_sims.ok()) return eval_sims.status();
-  spec.eval_sims = eval_sims.value();
-  Result<long long> eval_seed =
-      GetIntField(body, "eval_seed", 20190701, 0, INT64_MAX);
-  if (!eval_seed.ok()) return eval_seed.status();
-  spec.eval_seed = static_cast<uint64_t>(eval_seed.value());
   const Json* warm_field = body.Find("warm");
   if (warm_field != nullptr && !warm_field->is_bool()) {
     return Status::InvalidArgument("'warm' must be a boolean");
@@ -527,8 +509,8 @@ Status Server::DoSolve(Call& call) {
 
   Json& result = call.result = Json::Object();
   result.Set("algorithm", Json::Str(outcome.algorithm));
-  result.Set("model", Json::Str(model.value()));
-  result.Set("seed", Json::Int(seed.value()));
+  result.Set("model", Json::Str(lt ? "lt" : "ic"));
+  result.Set("seed", Json::Int(static_cast<long long>(spec.options.seed)));
   result.Set("allocation", AllocationToJson(outcome.result.allocation));
   result.Set("num_rr_sets", Json::Int(static_cast<long long>(
                                 outcome.result.num_rr_sets)));

@@ -1,10 +1,10 @@
 #include "serve/session.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
 #include "common/failpoint.h"
-#include "exp/specs.h"
 #include "serve/protocol.h"
 
 namespace uic {
@@ -138,59 +138,53 @@ Json SessionRegistry::Describe() const {
   return out;
 }
 
+Result<FieldValue> ReadField(const Json& body, const char* key,
+                             FieldKind kind) {
+  FieldValue value;
+  if (kind == FieldKind::kText) {
+    Result<std::string> text = GetStringField(body, key);
+    if (!text.ok()) return text.status();
+    value.text = text.MoveValue();
+  } else if (kind == FieldKind::kInt) {
+    Result<long long> integer = GetIntField(body, key, 0);
+    if (!integer.ok()) return integer.status();
+    value.integer = integer.value();
+  } else {
+    Result<double> number = GetNumberField(body, key, 0.0);
+    if (!number.ok()) return number.status();
+    value.number = number.value();
+  }
+  return value;
+}
+
+Status CheckOwnField(const std::string& key,
+                     std::initializer_list<std::string_view> own) {
+  if (key == "id" || key == "verb" || key == "deadline_ms" ||
+      std::ranges::find(own, key) != own.end()) {
+    return Status::OK();
+  }
+  return Status::InvalidArgument("unknown field '" + key + "'");
+}
+
 Result<Graph> BuildGraphFromSpec(const Json& body) {
   NetworkSpec spec;
-  Result<std::string> path = GetStringField(body, "path");
-  if (!path.ok()) return path.status();
-  spec.path = path.MoveValue();
-  Result<std::string> network = GetStringField(body, "network");
-  if (!network.ok()) return network.status();
-  spec.network = network.MoveValue();
+  spec.network.clear();
+  UIC_RETURN_NOT_OK(ApplyFields(body, NetworkFields(), {"name"}, &spec));
   if (spec.path.empty() && spec.network.empty()) {
     return Status::InvalidArgument(
         "load_graph needs either 'path' or a 'network' generator spec");
   }
-  // Only the JSON types are checked here; BuildNetwork owns the limits.
-  Result<long long> nodes = GetIntField(body, "nodes", spec.nodes);
-  if (!nodes.ok()) return nodes.status();
-  spec.nodes = nodes.value();
-  if (body.Find("edges") != nullptr) {
-    Result<long long> edges = GetIntField(body, "edges", 0);
-    if (!edges.ok()) return edges.status();
-    spec.edges = edges.value();
-  }
-  Result<long long> net_seed = GetIntField(
-      body, "net_seed", static_cast<long long>(spec.seed), 0, INT64_MAX);
-  if (!net_seed.ok()) return net_seed.status();
-  spec.seed = static_cast<uint64_t>(net_seed.value());
-  Result<double> scale = GetNumberField(body, "scale", spec.scale);
-  if (!scale.ok()) return scale.status();
-  spec.scale = scale.value();
-  Result<double> p = GetNumberField(body, "p", spec.p);
-  if (!p.ok()) return p.status();
-  spec.p = p.value();
   return BuildNetwork(spec);
 }
 
 Result<ItemParams> BuildParamsFromSpec(const Json& body) {
   ConfigSpec spec;
-  Result<std::string> path = GetStringField(body, "path");
-  if (!path.ok()) return path.status();
-  spec.path = path.MoveValue();
-  Result<std::string> config = GetStringField(body, "config");
-  if (!config.ok()) return config.status();
-  spec.config = config.MoveValue();
+  spec.config.clear();
+  UIC_RETURN_NOT_OK(ApplyFields(body, ConfigFields(), {"name"}, &spec));
   if (spec.path.empty() && spec.config.empty()) {
     return Status::InvalidArgument(
         "load_params needs either 'path' or 'config'");
   }
-  Result<long long> items = GetIntField(body, "items", spec.items);
-  if (!items.ok()) return items.status();
-  spec.items = items.value();
-  Result<long long> param_seed = GetIntField(
-      body, "param_seed", static_cast<long long>(spec.seed), 0, INT64_MAX);
-  if (!param_seed.ok()) return param_seed.status();
-  spec.seed = static_cast<uint64_t>(param_seed.value());
   return BuildConfig(spec);
 }
 

@@ -19,14 +19,19 @@
 // the kernel OOM-kills the daemon.
 #pragma once
 
+#include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/annotations.h"
 #include "common/mutex.h"
 #include "common/status.h"
+#include "exp/fields.h"
 #include "graph/graph.h"
 #include "items/params.h"
 #include "serve/json.h"
@@ -90,19 +95,54 @@ class SessionRegistry {
   uint64_t next_generation_ UIC_GUARDED_BY(mu_) = 1;
 };
 
-/// \brief Build a graph from a `load_graph` request body.
-///
-/// Either `"path"` (a SaveGraph file) or a generator spec mirroring the
-/// uic_run network flags: `"network"` (required without `"path"`),
-/// `"nodes"`, `"edges"`, `"net_seed"`, `"scale"`; optional `"p"`
-/// re-weights every edge to a constant probability. The fields map onto
-/// an exp/specs.h NetworkSpec, which holds the roster, the defaults and
-/// the limits.
+/// `key`'s value in `body` read as `kind` (exp/fields.h) with the typed
+/// getters of serve/protocol.h: InvalidArgument naming `key` for a value
+/// of the wrong JSON type, or for kInt a number that is not an integer.
+[[nodiscard]] Result<FieldValue> ReadField(const Json& body, const char* key,
+                                           FieldKind kind);
+
+/// OK for an envelope field (`id`, `verb`, `deadline_ms`) or one of `own`,
+/// the verb's own fields; InvalidArgument naming `key` otherwise.
+[[nodiscard]] Status CheckOwnField(const std::string& key,
+                                   std::initializer_list<std::string_view> own);
+
+/// The JSON reader of a field table: rejects a member of `body` that is
+/// no row's key and fails CheckOwnField, then applies each row whose key
+/// `body` has to `spec`, in table order. An error names the key.
+template <typename Spec>
+[[nodiscard]] Status ApplyFields(const Json& body,
+                                 std::span<const Field<Spec>> fields,
+                                 std::initializer_list<std::string_view> own,
+                                 Spec* spec) {
+  for (const auto& member : body.members()) {
+    const auto named = [&](const Field<Spec>& field) {
+      return member.first == field.key;
+    };
+    if (!std::ranges::any_of(fields, named)) {
+      UIC_RETURN_NOT_OK(CheckOwnField(member.first, own));
+    }
+  }
+  for (const Field<Spec>& field : fields) {
+    if (body.Find(field.key) == nullptr) continue;
+    Result<FieldValue> value = ReadField(body, field.key, field.kind);
+    if (!value.ok()) return value.status();
+    const Status st = field.set(*spec, value.value());
+    if (!st.ok()) {
+      return Status(st.code(),
+                    std::string("'") + field.key + "' " + st.message());
+    }
+  }
+  return Status::OK();
+}
+
+/// \brief Build a graph from a `load_graph` request body, read through
+/// the network field table (exp/fields.h). Unlike `uic_run --network`,
+/// `"network"` has no default: a body needs it or `"path"`.
 [[nodiscard]] Result<Graph> BuildGraphFromSpec(const Json& body);
 
-/// \brief Build item params from a `load_params` request body: `"path"`
-/// (a SaveItemParams file) or `"config"` with `"items"`/`"param_seed"`,
-/// mapped onto an exp/specs.h ConfigSpec.
+/// \brief Build item params from a `load_params` request body, read
+/// through the configuration field table; the body needs `"config"` or
+/// `"path"`.
 [[nodiscard]] Result<ItemParams> BuildParamsFromSpec(const Json& body);
 
 }  // namespace serve

@@ -94,7 +94,7 @@ struct SolverOptions {
   unsigned workers = 0;   ///< worker threads (0 = hardware concurrency)
 
   /// RR sampling semantics for the IMM/PRIMA-based solvers. The problem's
-  /// DiffusionModel still wins: kLinearThreshold forces LT sampling.
+  /// DiffusionModel sets `linear_threshold`; the value here is ignored.
   ///
   /// `rr_options.stream_cache` is the pool-reuse hook RunSolve sets
   /// (exp/solve.h): every RR pool the solver builds — PRIMA/IMM phase

@@ -23,11 +23,11 @@ std::string Lowercase(const std::string& s) {
   return out;
 }
 
-/// RR options with the problem's diffusion model folded in (the model wins
-/// over a stale rr_options.linear_threshold).
+/// RR options sampling under the problem's diffusion model, whatever
+/// rr_options.linear_threshold says: the allocation is scored under it.
 RrOptions EffectiveRrOptions(const WelfareProblem& p, const SolverOptions& o) {
   RrOptions rr = o.rr_options;
-  rr.linear_threshold |= p.model == DiffusionModel::kLinearThreshold;
+  rr.linear_threshold = p.model == DiffusionModel::kLinearThreshold;
   return rr;
 }
 

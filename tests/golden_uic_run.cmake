@@ -169,6 +169,20 @@ expect_exit(kappa_nan 1
 expect_exit(sampling_kernel_auto 1
   --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
   --sampling-kernel auto)
+# Seeds are in [0, 2^63 - 1], the daemon's limit too (each once ran on a
+# seed wrapped to 2^64 - k).
+expect_exit(negative_seed 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
+  --seed -1)
+expect_exit(negative_net_seed 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
+  --net-seed -5)
+expect_exit(negative_param_seed 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
+  --config levelwise --param-seed -1)
+expect_exit(negative_eval_seed 1
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 10
+  --eval-seed -1)
 # A node count whose + 1 wraps the 32-bit CSR offsets (once SIGSEGV), from
 # a file and from the generator.
 file(WRITE ${WORK_DIR}/wrap_graph.txt "nodes 4294967295\nedges 0\n")
@@ -193,3 +207,11 @@ expect_exit(malformed_sweep_spec 2
   --sweep 10:5:2 --algorithms bundle-grd --network er --nodes 50 --edges 200)
 expect_exit(missing_algorithm_flag 2
   --network er --nodes 50 --edges 200)
+# An unknown flag (each once ran as if it were absent: the skip kernel,
+# BDHS-Step).
+expect_exit(unknown_flag_sampling_kernal 2
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
+  --sampling-kernal scan)
+expect_exit(unknown_flag_bdhs_varient 2
+  --algorithm bdhs --network er --nodes 50 --edges 200 --mc 0
+  --bdhs-varient concave)

@@ -804,8 +804,11 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
   // slot for seconds: cone-max tabulates 2^items values when loaded,
   // levelwise generation costs items · 3^(items − 1), and an estimate,
   // mc-greedy and bdhs evaluate all 2^items itemsets (21 additive items
-  // load, but nothing may tabulate them). Now each gets its reply and the
-  // daemon keeps serving.
+  // load, but nothing may tabulate them). The last five were once answered
+  // ok: the daemon dropped a misspelt key (`edgez`, `itemz`,
+  // `bdhs_varient`) or a tuning field it did not read (a `sampling_kernel`
+  // no kernel has, a negative `greedy_sims`). Now each gets its reply and
+  // the daemon keeps serving.
   std::string ones21 = "[1";
   for (int i = 1; i < 21; ++i) ones21 += ",1";
   ones21 += "]";
@@ -870,6 +873,22 @@ TEST(ServeServer, DegenerateGeneratorSpecsGetAReplyAndTheServerLives) {
       {"{\"id\":56,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p21\","
        "\"budgets\":" + ones21 + ",\"algorithm\":\"mc-greedy\"}",
        "\"code\":\"bad_request\""},
+      {"{\"id\":57,\"verb\":\"load_graph\",\"name\":\"gu\","
+       "\"network\":\"er\",\"nodes\":50,\"edgez\":200}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":58,\"verb\":\"load_params\",\"name\":\"pu\","
+       "\"config\":\"config12\",\"itemz\":3}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":59,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"algorithm\":\"bdhs\","
+       "\"bdhs_varient\":\"concave\"}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":60,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"sampling_kernel\":\"warp\"}",
+       "\"code\":\"bad_request\""},
+      {"{\"id\":61,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"greedy_sims\":-3}",
+       "\"code\":\"bad_request\""},
   };
   Server server(GoldenOptions());
   LoadFixtures(server);
@@ -911,7 +930,8 @@ TEST(ServeServer, RejectedSolvesLeaveNoWarmEntry) {
   // A solve is checked before the warm lease is taken. The first two once
   // left an entry behind, so the next valid solve of the key reported a
   // warm hit while it sampled every set; the eps and eval_sims limits,
-  // which moved into CheckSolve, must stay ahead of the lease too.
+  // which moved into CheckSolve, must stay ahead of the lease too, and so
+  // must an unknown key, which the daemon once dropped and solved.
   struct Case {
     const char* request;
     const char* code;
@@ -928,6 +948,9 @@ TEST(ServeServer, RejectedSolvesLeaveNoWarmEntry) {
        "bad_request"},
       {"{\"id\":63,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
        "\"budgets\":[3,3],\"seed\":4,\"eval_sims\":2000000}",
+       "bad_request"},
+      {"{\"id\":64,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+       "\"budgets\":[3,3],\"seed\":4,\"sampling_kernal\":\"scan\"}",
        "bad_request"},
   };
   Server server(GoldenOptions());

@@ -14,6 +14,10 @@
 #   4. Every verb name in the verb table (src/serve/server.cc) appears
 #      in docs/serving.md's "Verbs" table. Each row names its verb as
 #      the first argument of UIC_VERB, a string literal.
+#   5. Every row of the field tables (src/exp/fields.cc) has its JSON key
+#      in docs/serving.md's "Verbs" table and its flag in uic_run's usage
+#      text (examples/uic_run.cpp). Each row names its flag and key as
+#      the first two arguments of UIC_FIELD, string literals.
 set -u
 root="${1:-.}"
 fail=0
@@ -82,7 +86,27 @@ for name in $verbs; do
   fi
 done
 
+# --- field table coverage -------------------------------------------------
+usage=$(sed -n '/kUsage =/,/;$/p' "$root/examples/uic_run.cpp")
+rows=$(grep -oE 'UIC_FIELD\("[^"]+", "[^"]+"' "$root/src/exp/fields.cc" |
+  sed -E 's/^UIC_FIELD\("//; s/", "/ /; s/"$//')
+if [ -z "$rows" ]; then
+  echo "no rows found in the field tables in src/exp/fields.cc"
+  fail=1
+fi
+while read -r flag key; do
+  [ -z "$flag" ] && continue
+  if ! grep '^|' <<<"$verb_table" | grep -qF "\`$key\`"; then
+    echo "field key $key is in src/exp/fields.cc but missing from the verb table in $serving"
+    fail=1
+  fi
+  if ! grep -qF -- "--$flag " <<<"$usage"; then
+    echo "field flag --$flag is in src/exp/fields.cc but missing from uic_run's usage text"
+    fail=1
+  fi
+done <<<"$rows"
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs clean: links resolve, metric, solver and verb rosters covered"
+  echo "docs clean: links resolve, metric, solver, verb and field rosters covered"
 fi
 exit "$fail"
