@@ -71,8 +71,15 @@ bool GetSize(const Flags& flags, const char* name, long def, size_t* out) {
   return true;
 }
 
+/// Every flag kUsage lists, and --help.
+constexpr std::string_view kFlags[] = {
+    "port", "workers", "concurrency", "queue-capacity", "max-graphs",
+    "max-params", "warm-entries", "no-timing", "metrics-port", "trace-out",
+    "testing", "help"};
+
 int Run(int argc, char** argv) {
   Flags flags(argc, argv);
+  flags.RejectUnknown(kFlags);
   if (flags.GetBool("help")) {
     std::fputs(kUsage, stderr);
     return 0;

@@ -9,9 +9,9 @@
 // so the end-to-end adoption probability equals q_{A|B}. In the mutually
 // complementary setting q_{X|Y} >= q_{X|∅}.
 //
-// This reimplementation makes the standard simplifications documented in
-// DESIGN.md: information propagates through adopters, edges are tested
-// once per diffusion (shared by both items).
+// This reimplementation makes two standard simplifications: information
+// propagates through adopters, and edges are tested once per diffusion
+// (shared by both items).
 #pragma once
 
 #include <cstdint>

@@ -34,7 +34,7 @@ ItemParams MakeLevelwiseConfig8(ItemId num_items, uint64_t seed);
 /// Items: 0 = PlayStation 4 console (ps), 1 = controller (c),
 /// 2..4 = games (g1..g3). Prices from Craigslist/Facebook (C$260, 20,
 /// 5, 5, 5); values are the paper's published learned values with the
-/// unpublished masks completed monotonically (see DESIGN.md); per-item
+/// unpublished masks completed monotonically (see configs.cc); per-item
 /// noise variances are least-squares fitted to the published per-itemset
 /// variances (per-item additive noise cannot reproduce them exactly).
 ItemParams MakeRealPlaystationParams();

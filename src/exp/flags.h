@@ -1,4 +1,4 @@
-// Command-line flag parsing for uic_run, uic_served and the bench binaries.
+// Command-line flag parsing for uic_run, uic_served and bench_figures.
 #pragma once
 
 #include <algorithm>
@@ -10,6 +10,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "exp/fields.h"
@@ -69,20 +70,29 @@ class Flags {
   }
 
   /// Exits 2 on the first `--name` argument that is neither in `own` nor
-  /// a row's flag in `tables`.
+  /// a row's flag in `tables`, or that repeats an earlier `--name`, in
+  /// either spelling: the Get* reads see only the first.
   template <typename... Tables>
   void RejectUnknown(std::span<const std::string_view> own,
                      Tables... tables) const {
+    std::vector<std::string_view> seen;
     for (int i = 1; i < argc_; ++i) {
       const std::string_view arg = argv_[i];
       if (!arg.starts_with("--")) continue;
       const std::string_view name = arg.substr(2, arg.find('=') - 2);
-      const auto named = [&](const auto& row) { return name == row.flag; };
       if (std::ranges::find(own, name) == own.end() &&
-          !(std::ranges::any_of(tables, named) || ...)) {
+          !(std::ranges::any_of(
+                tables, [&](const auto& row) { return name == row.flag; }) ||
+            ...)) {
         std::fprintf(stderr, "unknown flag %s\n", argv_[i]);
         std::exit(2);
       }
+      if (std::ranges::find(seen, name) != seen.end()) {
+        std::fprintf(stderr, "flag --%s given twice\n",
+                     std::string(name).c_str());
+        std::exit(2);
+      }
+      seen.push_back(name);
     }
   }
 

@@ -3,9 +3,9 @@
 // The crawled datasets (Flixster, Douban-Book, Douban-Movie, Twitter,
 // Orkut) are not redistributable offline; we substitute synthetic
 // preferential-attachment graphs with matching directedness and average
-// degree, scaled to laptop size for the two giant networks (see DESIGN.md
-// §2). Every constructor applies the paper's default weighted-cascade edge
-// probabilities p(u,v) = 1/din(v); callers can re-weight afterwards.
+// degree, scaled to laptop size for the two giant networks (table2 in
+// bench_figures). Every constructor applies the weighted-cascade default
+// p(u,v) = 1/din(v) of the paper; callers can re-weight afterwards.
 #pragma once
 
 #include <span>

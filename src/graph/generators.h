@@ -3,8 +3,8 @@
 // The paper evaluates on five crawled networks (Flixster, Douban-Book,
 // Douban-Movie, Twitter, Orkut). Those datasets are not redistributable
 // offline, so the experiment harness substitutes synthetic graphs with
-// matching density and a heavy-tailed degree distribution (see DESIGN.md,
-// "Substitutions"). Real SNAP edge lists can still be used via
+// matching density and a heavy-tailed degree distribution (exp/networks.h
+// builds the five stand-ins). Real SNAP edge lists can still be used via
 // `LoadEdgeList` in loaders.h.
 #pragma once
 

@@ -215,3 +215,10 @@ expect_exit(unknown_flag_sampling_kernal 2
 expect_exit(unknown_flag_bdhs_varient 2
   --algorithm bdhs --network er --nodes 50 --edges 200 --mc 0
   --bdhs-varient concave)
+# A repeated flag (each once ran on the first value: 50 nodes, b=3,3).
+expect_exit(repeated_flag_nodes 2
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
+  --nodes 1e3)
+expect_exit(repeated_flag_budget 2
+  --algorithm bundle-grd --network er --nodes 50 --edges 200 --mc 0
+  --budget 3 --budget 4)

@@ -56,10 +56,16 @@ endforeach()
 
 # --- usage errors exit 2 ----------------------------------------------
 
+# A ping on stdin: a daemon that accepts the flags answers it and exits
+# 0 at EOF instead of waiting for input. An unknown or repeated flag once
+# ran that way (the default concurrency, the first --workers).
+file(WRITE ${WORK_DIR}/ping.jsonl "{\"id\":1,\"verb\":\"ping\"}\n")
 foreach(bad_flags "--workers;-1" "--workers;100000" "--concurrency;0"
-        "--queue-capacity;-3" "--port;70000" "--concurrency;abc")
+        "--queue-capacity;-3" "--port;70000" "--concurrency;abc"
+        "--concurency;4" "--workers;1;--workers;2")
   execute_process(
     COMMAND ${UIC_SERVED} ${bad_flags}
+    INPUT_FILE ${WORK_DIR}/ping.jsonl
     OUTPUT_QUIET ERROR_QUIET
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 2)

@@ -18,6 +18,10 @@
 #      in docs/serving.md's "Verbs" table and its flag in uic_run's usage
 #      text (examples/uic_run.cpp). Each row names its flag and key as
 #      the first two arguments of UIC_FIELD, string literals.
+#   6. Every row of the figure table (kFigures in bench/bench_figures.cc)
+#      appears in PAPER.md's figure map ("§6 figures and tables ↔
+#      `bench_figures --figure` names"). Each row opens with its --figure
+#      name, a string literal.
 set -u
 root="${1:-.}"
 fail=0
@@ -106,7 +110,23 @@ while read -r flag key; do
   fi
 done <<<"$rows"
 
+# --- figure roster coverage ---------------------------------------------
+figure_map=$(sed -n '/^### §6 figures and tables ↔/,/^#/p' "$paper" 2>/dev/null)
+figures=$(sed -n '/^constexpr Figure kFigures/,/^};/p' \
+  "$root/bench/bench_figures.cc" | grep -oE '^ *\{"[^"]+",' |
+  sed -E 's/^ *\{"//; s/",$//')
+if [ -z "$figures" ]; then
+  echo "no figure names found in the table in bench/bench_figures.cc"
+  fail=1
+fi
+for name in $figures; do
+  if ! grep -qF "| \`$name\` |" <<<"$figure_map"; then
+    echo "figure $name is in bench/bench_figures.cc but missing from the figure map in $paper"
+    fail=1
+  fi
+done
+
 if [ "$fail" -eq 0 ]; then
-  echo "docs clean: links resolve, metric, solver, verb and field rosters covered"
+  echo "docs clean: links resolve, metric, solver, verb, field and figure rosters covered"
 fi
 exit "$fail"
